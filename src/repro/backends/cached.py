@@ -3,17 +3,25 @@
 The fast path introduced by the batched execution engine: ``set_pts``
 precomputes the per-point kernel stencils (and, within budget, the CSR sparse
 spread/interp operator), and every stage then processes the whole ``n_trans``
-block in one fused pass -- a sparse mat-mat (or fused ``bincount``) for
-spreading, a batched multi-axis FFT, broadcast correction factors, and the
-transposed sparse gather for interpolation.  No simulated-GPU profiles are
-recorded; this backend is pure throughput.
+block in one fused pass -- a sparse mat-mat for spreading, a batched
+multi-axis FFT, broadcast correction factors, and the transposed sparse
+gather for interpolation.
+
+``stencil_budget`` bounds memory only, not whether a fast path exists: when
+``M * w^d`` exceeds it the CSR operator is not built, and spread/interp run
+the per-subproblem padded-box GEMM engine
+(:func:`~repro.core.spread.spread_subproblems`,
+:func:`~repro.core.interp.interp_subproblems`) over the per-dimension
+stencils instead, whose working set is one subproblem's box.  GM, GM-sort
+and SM compute the same sums, so every method runs the same engine here; the
+method only changes the simulated cost profiles.  No simulated-GPU profiles
+are recorded; this backend is pure throughput.
 """
 
 from __future__ import annotations
 
-from ..core.interp import interp_cached, interpolate
-from ..core.options import SpreadMethod
-from ..core.spread import spread_cached, spread_gm, spread_gm_sort, spread_sm
+from ..core.interp import interp_cached, interp_subproblems
+from ..core.spread import spread_cached, spread_subproblems
 from .base import ExecutionBackend
 
 __all__ = ["CachedBackend"]
@@ -34,18 +42,10 @@ class CachedBackend(ExecutionBackend):
     def spread(self, plan, strengths, pipeline, out=None):
         cache = plan._stencil
         cplx = plan.precision.complex_dtype
-        if cache is not None and cache.interp_matrix is not None:
+        if cache.interp_matrix is not None:
             return spread_cached(plan.fine_shape, strengths, cache, cplx, out=out)
-        if plan.method is SpreadMethod.GM:
-            return spread_gm(plan.fine_shape, plan._grid_coords, strengths,
-                             plan.kernel, cplx, cache=cache, out=out)
-        if plan.method is SpreadMethod.GM_SORT:
-            return spread_gm_sort(plan.fine_shape, plan._grid_coords, strengths,
-                                  plan.kernel, plan._sort, cplx, cache=cache,
-                                  out=out)
-        return spread_sm(plan.fine_shape, plan._grid_coords, strengths,
-                         plan.kernel, plan._sort, plan._ensure_subproblems(),
-                         cplx, cache=cache, out=out)
+        return spread_subproblems(plan.fine_shape, strengths, cache, plan._sort,
+                                  plan._ensure_subproblems(), cplx, out=out)
 
     def fft_forward(self, plan, fine, pipeline):
         # Native precision end to end: pocketfft transforms complex64 blocks
@@ -70,8 +70,7 @@ class CachedBackend(ExecutionBackend):
     def interp(self, plan, fine, pipeline, out=None):
         cache = plan._stencil
         cplx = plan.precision.complex_dtype
-        if cache is not None and cache.interp_matrix is not None:
+        if cache.interp_matrix is not None:
             return interp_cached(fine, plan._grid_coords, cache, cplx, out=out)
-        return interpolate(fine, plan._grid_coords, plan.kernel,
-                           plan.interp_method, plan._sort, cplx, cache=cache,
-                           out=out)
+        return interp_subproblems(fine, cache, plan._sort,
+                                  plan._ensure_subproblems(), cplx, out=out)

@@ -6,7 +6,11 @@ the GPU the only algorithmic lever is the *order* in which threads visit the
 points: unsorted (GM) threads in a warp read scattered grid regions, while
 bin-sorted (GM-sort) threads read localized, cache-friendly regions.  There
 are no write conflicts (each thread owns its output ``c_j``), which is why the
-paper applies no SM-style scheme to interpolation.
+paper applies no SM-style scheme to interpolation.  On the host, though, the
+over-budget engine (:func:`interp_subproblems`) reuses the SM subproblem
+split for every method: a subproblem's footprint box is gathered once and
+contracted with one GEMM, the transpose of
+:func:`~repro.core.spread.spread_subproblems`.
 """
 
 from __future__ import annotations
@@ -23,10 +27,15 @@ from ..gpu.transactions import (
 )
 from .options import SpreadMethod
 from .spread import (
+    _box_factors,
+    _box_runs,
     _chunk_stencil,
     _point_chunk,
     _point_read_bytes,
     _spread_flops,
+    _stencil_offsets,
+    _subproblem_boxes,
+    _tail_factor,
 )
 
 __all__ = [
@@ -34,6 +43,7 @@ __all__ = [
     "interp_cached",
     "interp_gm",
     "interp_gm_sort",
+    "interp_subproblems",
     "interp_kernel_profiles",
 ]
 
@@ -51,7 +61,7 @@ def _as_grid_batch(grid, ndim):
     return (grid if batched else grid[None]), batched
 
 
-def _interp_points(grids, grid_coords, kernel, point_order, out, cache=None):
+def _interp_points(grids, grid_coords, kernel, point_order, out):
     """Interpolate the points listed in ``point_order`` (chunked, batched).
 
     ``grids`` has shape ``(n_trans, *fine_shape)`` and ``out`` shape
@@ -66,7 +76,7 @@ def _interp_points(grids, grid_coords, kernel, point_order, out, cache=None):
 
     for start in range(0, point_order.shape[0], chunk):
         sel = point_order[start:start + chunk]
-        flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel, cache)
+        flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel)
         gathered = flat[:, flat_idx]  # (n_trans, m, w^d)
         out[:, sel] = np.einsum("tmk,mk->tm", gathered, wprod)
     return out
@@ -96,18 +106,61 @@ def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
     return values if batched else values[0]
 
 
-def _interp_ordered(grid, grid_coords, kernel, point_order, cache, dtype, out=None):
-    ndim = len(grid_coords)
-    grids, batched = _as_grid_batch(grid, ndim)
-    m = grid_coords[0].shape[0]
-    values = out if out is not None else np.zeros((grids.shape[0], m), dtype=dtype)
-    _interp_points(grids, grid_coords, kernel, point_order, values, cache=cache)
+def _interp_box(cache, sel, lo, shape, box):
+    """``(n_trans, P)`` values of one subproblem from its ``(L_0, n_trans, ...)`` box."""
+    if cache.ndim == 1:
+        # See repro.core.spread._spread_box: gather the P x w stencil
+        # entries rather than contracting a mostly-zero dense K_0.
+        return np.einsum("pkt,pk->tp", box[_stencil_offsets(cache, sel, lo, 0)],
+                         cache.vals[0][sel])
+    factors = _box_factors(cache, sel, lo, shape)
+    rows = factors[0] @ box.reshape(shape[0], -1).view(np.float64)
+    rows = rows.view(np.complex128).reshape(sel.shape[0], box.shape[1], -1)
+    return np.einsum("ptk,pk->tp", rows, _tail_factor(factors))
+
+
+def interp_subproblems(grid, cache, sort, subproblems, dtype=np.complex64, out=None):
+    """Interpolate via per-subproblem padded-box gathers and one GEMM each.
+
+    The transpose of :func:`~repro.core.spread.spread_subproblems`, for
+    stencil caches too large to fuse: for each SM subproblem the wrapped
+    footprint box ``(L_0, n_trans, L_1, ...)`` is gathered from the fine
+    grid, contracted along axis 0 against the dense factor ``K_0`` with one
+    real GEMM (the complex box viewed as interleaved reals), and the
+    remaining axes are contracted per point against
+    ``K_1 ⊗ ... ⊗ K_{d-1}``.  Every method (GM, GM-sort, SM) runs this one
+    engine; the method changes only the simulated cost profiles.
+
+    ``grid`` may be ``(*fine_shape)`` or ``(n_trans, *fine_shape)``;
+    ``out``, when given, is the ``(n_trans, M)`` destination.
+    """
+    grids, batched = _as_grid_batch(grid, cache.ndim)
+    n_trans = grids.shape[0]
+    fine_shape = grids.shape[1:]
+    values = out if out is not None else np.empty((n_trans, cache.n_points), dtype)
+    for sel, lo, shape in _subproblem_boxes(cache, sort, subproblems):
+        box = np.empty((shape[0], n_trans) + tuple(shape[1:]), dtype=np.complex128)
+        box_t = box.swapaxes(0, 1)
+        for src, dst in _box_runs(lo, shape, fine_shape):
+            box_t[(slice(None),) + src] = grids[(slice(None),) + dst]
+        values[:, sel] = _interp_box(cache, sel, lo, shape, box)
     if out is not None:
         return out
     return values if batched else values[0]
 
 
-def interp_gm(grid, grid_coords, kernel, dtype=np.complex64, cache=None, out=None):
+def _interp_ordered(grid, grid_coords, kernel, point_order, dtype, out=None):
+    ndim = len(grid_coords)
+    grids, batched = _as_grid_batch(grid, ndim)
+    m = grid_coords[0].shape[0]
+    values = out if out is not None else np.zeros((grids.shape[0], m), dtype=dtype)
+    _interp_points(grids, grid_coords, kernel, point_order, values)
+    if out is not None:
+        return out
+    return values if batched else values[0]
+
+
+def interp_gm(grid, grid_coords, kernel, dtype=np.complex64, out=None):
     """GM interpolation: targets visited in their user-supplied order.
 
     ``grid`` may be ``(*fine_shape)`` or a stacked ``(n_trans, *fine_shape)``
@@ -115,33 +168,30 @@ def interp_gm(grid, grid_coords, kernel, dtype=np.complex64, cache=None, out=Non
     """
     m = grid_coords[0].shape[0]
     order = np.arange(m, dtype=np.int64)
-    return _interp_ordered(grid, grid_coords, kernel, order, cache, dtype, out=out)
+    return _interp_ordered(grid, grid_coords, kernel, order, dtype, out=out)
 
 
-def interp_gm_sort(grid, grid_coords, kernel, sort, dtype=np.complex64, cache=None,
-                   out=None):
+def interp_gm_sort(grid, grid_coords, kernel, sort, dtype=np.complex64, out=None):
     """GM-sort interpolation: targets visited in bin-sorted order.
 
     The permuted visiting order only changes memory locality; the value
     written to each ``c_j`` is identical to GM up to floating point.
     """
-    return _interp_ordered(grid, grid_coords, kernel, sort.permutation, cache, dtype,
-                           out=out)
+    return _interp_ordered(grid, grid_coords, kernel, sort.permutation, dtype, out=out)
 
 
 def interpolate(grid, grid_coords, kernel, method, sort=None, dtype=np.complex64,
-                cache=None, out=None):
+                out=None):
     """Dispatch to the requested interpolation method."""
     method = SpreadMethod.parse(method)
     if method is SpreadMethod.GM:
-        return interp_gm(grid, grid_coords, kernel, dtype, cache=cache, out=out)
+        return interp_gm(grid, grid_coords, kernel, dtype, out=out)
     if method in (SpreadMethod.GM_SORT, SpreadMethod.SM):
         # The paper notes an SM-style scheme brings little benefit for
         # interpolation; SM requests fall back to GM-sort (same as the code).
         if sort is None:
             raise ValueError("GM-sort interpolation requires a BinSort")
-        return interp_gm_sort(grid, grid_coords, kernel, sort, dtype, cache=cache,
-                              out=out)
+        return interp_gm_sort(grid, grid_coords, kernel, sort, dtype, out=out)
     raise ValueError(f"cannot interpolate with method {method!r}")
 
 

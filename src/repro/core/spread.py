@@ -20,12 +20,18 @@ is what the cost profiles capture:
     each subproblem accumulates into a *padded bin* copy in shared memory and
     then adds that copy back to global memory once (paper Fig. 1).
 
-The numeric implementations are genuinely distinct code paths (different
-summation orders and different intermediate buffers); tests assert they agree
-to floating-point tolerance.
+The per-method implementations here (``spread_gm`` / ``spread_gm_sort`` /
+``spread_sm``) are genuinely distinct code paths (different summation orders
+and different intermediate buffers) kept for the ``reference`` backend and the
+baselines; tests assert they agree to floating-point tolerance.  The fast
+engines run one sum for every method: ``spread_cached`` (the fused sparse
+operator) within the stencil budget, and ``spread_subproblems`` (per-subproblem
+padded-box GEMMs, the host form of the SM scheme) over it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -50,6 +56,7 @@ __all__ = [
     "spread_gm",
     "spread_gm_sort",
     "spread_sm",
+    "spread_subproblems",
     "spread_kernel_profiles",
 ]
 
@@ -106,27 +113,18 @@ def _point_chunk(n_trans, entries_per_point):
     return max(256, _CHUNK_ENTRIES // max(1, n_trans * entries_per_point))
 
 
-def _chunk_stencil(grid_coords, fine_shape, kernel, sel, cache):
+def _chunk_stencil(grid_coords, fine_shape, kernel, sel):
     """Fused ``(flat_idx, weights)`` of shape (m, w^d) for the selected points.
 
-    Reads the plan-level :class:`~repro.core.stencil.StencilCache` when one is
-    supplied (never re-evaluating the kernel); otherwise evaluates the exact
-    stencils on the fly, which is the seed behaviour.
+    Evaluates the exact stencils on the fly (the seed behaviour); the fast
+    engines read the plan-level stencil cache instead.
     """
-    if cache is not None and cache.flat_idx is not None:
-        return cache.flat_idx[sel], cache.weights[sel]
-    ndim = len(fine_shape)
-    if cache is not None:
-        idx_per_dim = [cache.idx[d][sel] for d in range(ndim)]
-        vals_per_dim = [cache.vals[d][sel] for d in range(ndim)]
-    else:
-        w = kernel.width
-        offsets = np.arange(w, dtype=np.int64)
-        idx_per_dim, vals_per_dim = [], []
-        for d in range(ndim):
-            i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
-            idx_per_dim.append(np.mod(i0[:, None] + offsets[None, :], fine_shape[d]))
-            vals_per_dim.append(vals)
+    offsets = np.arange(kernel.width, dtype=np.int64)
+    idx_per_dim, vals_per_dim = [], []
+    for d in range(len(fine_shape)):
+        i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
+        idx_per_dim.append(np.mod(i0[:, None] + offsets[None, :], fine_shape[d]))
+        vals_per_dim.append(vals)
     return _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape)
 
 
@@ -158,7 +156,7 @@ def _grid_views(grids):
     return flat.real, flat.imag
 
 
-def _spread_points(grids, grid_coords, strengths, kernel, point_order, cache=None):
+def _spread_points(grids, grid_coords, strengths, kernel, point_order):
     """Spread the points listed in ``point_order`` (chunked, any order).
 
     ``grids`` has shape ``(n_trans, *fine_shape)`` and ``strengths`` shape
@@ -177,7 +175,7 @@ def _spread_points(grids, grid_coords, strengths, kernel, point_order, cache=Non
 
     for start in range(0, point_order.shape[0], chunk):
         sel = point_order[start:start + chunk]
-        flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel, cache)
+        flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel)
         cw = strengths[:, sel]
         if n_trans == 1:
             weights_real = cw.real[0, :, None] * wprod
@@ -224,15 +222,145 @@ def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
     return result if batched else result[0]
 
 
-def _spread_ordered(fine_shape, grid_coords, strengths, kernel, point_order, cache,
-                    dtype, out=None):
+# --------------------------------------------------------------------------- #
+# over-budget engine: per-subproblem padded-box GEMMs
+# --------------------------------------------------------------------------- #
+def _subproblem_boxes(cache, sort, subproblems):
+    """Yield ``(sel, lo, shape)`` per subproblem: its points and footprint box.
+
+    ``sel`` indexes the subproblem's points (bin-sorted order); the box
+    starts at the unwrapped fine-grid node ``lo = min(i0)`` per dimension and
+    spans ``shape = max(i0) - min(i0) + w`` nodes, so it holds every stencil
+    of the subproblem and always lies inside its padded bin.
+    """
+    perm = sort.permutation
+    starts = subproblems.offsets
+    sorted_i0 = [i0[perm] for i0 in cache.i0]
+    lo = np.stack([np.minimum.reduceat(a, starts) for a in sorted_i0], axis=1)
+    hi = np.stack([np.maximum.reduceat(a, starts) for a in sorted_i0], axis=1)
+    shape = hi - lo + cache.width
+    for k in range(starts.shape[0]):
+        start = int(starts[k])
+        yield perm[start:start + int(subproblems.counts[k])], lo[k], shape[k]
+
+
+def _stencil_offsets(cache, sel, lo, d):
+    """Box-local node offsets ``(P, w)`` of the points' stencils along ``d``."""
+    return (cache.i0[d][sel] - lo[d])[:, None] + np.arange(cache.width)
+
+
+def _box_factors(cache, sel, lo, shape):
+    """Dense per-dimension kernel factors ``K_d`` of shape ``(P, L_d)``.
+
+    Row ``p`` of ``K_d`` holds point ``p``'s ``w`` cached kernel values at
+    its offset inside the box and zeros elsewhere, so the box contribution of
+    the subproblem is the tensor product ``K_0 ⊗ K_1 ⊗ ...`` contracted
+    with the strengths.
+    """
+    rows = np.arange(sel.shape[0])[:, None]
+    factors = []
+    for d in range(cache.ndim):
+        k = np.zeros((sel.shape[0], int(shape[d])))
+        k[rows, _stencil_offsets(cache, sel, lo, d)] = cache.vals[d][sel]
+        factors.append(k)
+    return factors
+
+
+def _tail_factor(factors):
+    """Row-wise tensor product of ``K_1 ... K_{d-1}`` as ``(P, L_1 ... L_{d-1})``."""
+    n_pts = factors[0].shape[0]
+    tail = np.ones((n_pts, 1))
+    for k in factors[1:]:
+        tail = (tail[:, :, None] * k[:, None, :]).reshape(n_pts, -1)
+    return tail
+
+
+def _box_runs(lo, shape, fine_shape):
+    """``(box_slices, grid_slices)`` pairs covering a box with periodic wrap.
+
+    Per dimension the box's nodes ``lo .. lo + L - 1`` map to ``mod n`` in
+    contiguous runs: at most two when ``L <= n``, so a box is added back
+    with at most ``2^d`` slice-adds.  A box wider than the grid (tiny grids,
+    wide kernels) takes more runs, which alias the same grid cells across
+    *separate* adds -- each add still sees distinct destination cells.
+    """
+    per_dim = []
+    for start, length, n in zip(lo, shape, fine_shape):
+        runs = []
+        pos, dst = 0, int(start) % n
+        while pos < length:
+            step = min(int(length) - pos, n - dst)
+            runs.append((slice(pos, pos + step), slice(dst, dst + step)))
+            pos += step
+            dst = 0
+        per_dim.append(runs)
+    for combo in itertools.product(*per_dim):
+        yield (tuple(src for src, _ in combo), tuple(dst for _, dst in combo))
+
+
+def _spread_box(cache, sel, lo, shape, c):
+    """One subproblem's ``(n_trans, *shape)`` box from its ``(n_trans, P)`` strengths."""
+    n_trans, n_pts = c.shape
+    if cache.ndim == 1:
+        # A 1D box spans a whole bin (L_0 >> w) and the GEMM would have only
+        # 2 * n_trans columns, so a dense K_0 is mostly zeros: scatter the
+        # P x w stencil entries with one bincount per real/imaginary part.
+        length = int(shape[0])
+        idx = (_stencil_offsets(cache, sel, lo, 0)[None]
+               + length * np.arange(n_trans)[:, None, None]).ravel()
+        weights = c[:, :, None] * cache.vals[0][sel]
+        size = n_trans * length
+        box = (np.bincount(idx, weights.real.ravel(), size)
+               + 1j * np.bincount(idx, weights.imag.ravel(), size))
+        return box.reshape(n_trans, length)
+    factors = _box_factors(cache, sel, lo, shape)
+    u = np.multiply(c.T[:, :, None], _tail_factor(factors)[:, None, :],
+                    dtype=np.complex128)
+    box = factors[0].T @ u.reshape(n_pts, -1).view(np.float64)
+    box = box.view(np.complex128).reshape((int(shape[0]), n_trans) + tuple(shape[1:]))
+    return box.swapaxes(0, 1)
+
+
+def spread_subproblems(fine_shape, strengths, cache, sort, subproblems,
+                       dtype=np.complex64, out=None):
+    """Spread via per-subproblem padded-box GEMMs (paper Fig. 1, on the host).
+
+    The engine for stencil caches too large to fuse into a sparse operator:
+    it needs only the cached per-dimension ``i0`` / ``vals``.  For each SM
+    subproblem (bin-sorted points, at most ``Msub`` of them) the tight
+    footprint box is accumulated with one real GEMM,
+    ``K_0^T @ (c ⊗ K_1 ⊗ ... ⊗ K_{d-1})``, where the complex ``(P, n_trans,
+    L_1 ... L_{d-1})`` right factor is viewed as interleaved reals, and the
+    box is then added back to the fine grid with periodic wrap
+    (:func:`_box_runs`).  Memory per step is one subproblem's box, bounded by
+    ``Msub`` and the padded bin, whatever ``M * w^d`` is.  GM, GM-sort and SM
+    compute the same sum, so every method runs this one engine.
+
+    ``strengths`` may be ``(M,)`` or ``(n_trans, M)``; ``out``, when given,
+    is the ``(n_trans, *fine_shape)`` destination (any strides).
+    """
+    block, batched = _as_strength_batch(strengths)
+    n_trans = block.shape[0]
+    grids = out if out is not None else np.empty((n_trans,) + tuple(fine_shape), dtype)
+    grids[...] = 0
+    for sel, lo, shape in _subproblem_boxes(cache, sort, subproblems):
+        box = _spread_box(cache, sel, lo, shape, block[:, sel])
+        for src, dst in _box_runs(lo, shape, fine_shape):
+            grids[(slice(None),) + dst] += box[(slice(None),) + src]
+    if out is not None:
+        return out
+    return grids if batched else grids[0]
+
+
+def _spread_ordered(fine_shape, grid_coords, strengths, kernel, point_order, dtype,
+                    out=None):
     block, batched = _as_strength_batch(strengths)
     if out is not None and not out.flags.c_contiguous:
         # The fused bincount pass needs flat C-order views of the grid;
         # accumulate into a contiguous scratch and assign through the
         # destination's strides at the end.
         grids = np.zeros(out.shape, dtype=out.dtype)
-        _spread_points(grids, grid_coords, block, kernel, point_order, cache=cache)
+        _spread_points(grids, grid_coords, block, kernel, point_order)
         out[...] = grids
         return out
     if out is not None:
@@ -240,14 +368,14 @@ def _spread_ordered(fine_shape, grid_coords, strengths, kernel, point_order, cac
         grids.fill(0)
     else:
         grids = np.zeros((block.shape[0],) + tuple(fine_shape), dtype=dtype)
-    _spread_points(grids, grid_coords, block, kernel, point_order, cache=cache)
+    _spread_points(grids, grid_coords, block, kernel, point_order)
     if out is not None:
         return out
     return grids if batched else grids[0]
 
 
 def spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex64,
-              cache=None, out=None):
+              out=None):
     """GM spreading: points processed in their user-supplied order.
 
     ``strengths`` may be ``(M,)`` or a stacked ``(n_trans, M)`` block; the
@@ -256,18 +384,18 @@ def spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex64,
     m = np.asarray(strengths).shape[-1]
     order = np.arange(m, dtype=np.int64)
     return _spread_ordered(fine_shape, grid_coords, strengths, kernel, order,
-                           cache, dtype, out=out)
+                           dtype, out=out)
 
 
 def spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort, dtype=np.complex64,
-                   cache=None, out=None):
+                   out=None):
     """GM-sort spreading: points processed in bin-sorted (permuted) order."""
     return _spread_ordered(fine_shape, grid_coords, strengths, kernel,
-                           sort.permutation, cache, dtype, out=out)
+                           sort.permutation, dtype, out=out)
 
 
 def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
-              dtype=np.complex64, cache=None, out=None):
+              dtype=np.complex64, out=None):
     """SM spreading: per-subproblem padded-bin accumulation then write-back.
 
     Follows paper Fig. 1 steps 2-3 exactly: each subproblem spreads its points
@@ -278,8 +406,7 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
 
     ``strengths`` may be ``(M,)`` or a ``(n_trans, M)`` block; all transforms
     of a subproblem share one fused accumulation pass into a
-    ``(n_trans, padded_bin)`` local buffer.  A stencil cache (per-dimension
-    ``i0``/``vals``) skips the kernel evaluation entirely.
+    ``(n_trans, padded_bin)`` local buffer.
     """
     ndim = len(fine_shape)
     block, batched = _as_strength_batch(strengths)
@@ -317,12 +444,7 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
         idx_per_dim = []
         vals_per_dim = []
         for d in range(ndim):
-            if cache is not None:
-                i0 = cache.i0[d][sel]
-                vals = cache.vals[d][sel]
-            else:
-                i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d],
-                                                  kernel)
+            i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
             local_idx = i0[:, None] + offsets[None, :] - delta[d]
             if local_idx.min() < 0 or local_idx.max() >= local_shape[d]:
                 raise AssertionError(
@@ -358,7 +480,7 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
 
 
 def spread(fine_shape, grid_coords, strengths, kernel, method, sort=None,
-           max_subproblem_size=1024, dtype=np.complex64, cache=None, out=None):
+           max_subproblem_size=1024, dtype=np.complex64, out=None):
     """Dispatch to the requested spreading method.
 
     ``sort`` (a :class:`~repro.core.binsort.BinSort`) is required for GM-sort
@@ -366,17 +488,16 @@ def spread(fine_shape, grid_coords, strengths, kernel, method, sort=None,
     """
     method = SpreadMethod.parse(method)
     if method is SpreadMethod.GM:
-        return spread_gm(fine_shape, grid_coords, strengths, kernel, dtype,
-                         cache=cache, out=out)
+        return spread_gm(fine_shape, grid_coords, strengths, kernel, dtype, out=out)
     if sort is None:
         raise ValueError(f"method {method.value} requires a BinSort")
     if method is SpreadMethod.GM_SORT:
         return spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort, dtype,
-                              cache=cache, out=out)
+                              out=out)
     if method is SpreadMethod.SM:
         subproblems = make_subproblems(sort, max_subproblem_size)
         return spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
-                         dtype, cache=cache, out=out)
+                         dtype, out=out)
     raise ValueError(f"cannot spread with method {method!r}")
 
 

@@ -21,10 +21,13 @@ and, when the footprint ``M * w^d`` fits a memory budget, the *fused* form:
   (when scipy is available), whose transpose is the spreading operator.
 
 ``execute`` then never calls ``evaluate_offsets`` again: spreading becomes a
-single accumulation pass over the ``(n_trans, M)`` strength block (a sparse
-mat-mat, or a fused ``bincount`` without scipy) and interpolation the
-transposed gather.  The cache is tied to one point set; ``Plan.set_pts``
-rebuilds it, which is exactly the invalidation the paper's interface implies.
+single sparse mat-mat over the ``(n_trans, M)`` strength block and
+interpolation the transposed gather.  Over budget, only the per-dimension
+arrays exist and the cached backend runs the per-subproblem padded-box GEMM
+engine (:func:`repro.core.spread.spread_subproblems`) on them, so the budget
+bounds the cache's memory, not which execute path is fast.  The cache is tied
+to one point set; ``Plan.set_pts`` rebuilds it, which is exactly the
+invalidation the paper's interface implies.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ __all__ = [
 
 #: Maximum number of fused stencil entries (``M * w^d``) materialized by the
 #: cache; above this only the per-dimension arrays are kept.  32M entries is
-#: ~256 MB for the int64 indices plus ~256 MB for the float64 weights.
+#: ~256 MB of float64 weights plus ~128 MB of int32 column indices in the CSR
+#: operator (scipy keeps its own int32 copy; the int64 flat indices, another
+#: ~256 MB, live only while the matrix is assembled).
 DEFAULT_FUSE_BUDGET = 1 << 25
 
 try:  # pragma: no cover - exercised indirectly everywhere scipy exists

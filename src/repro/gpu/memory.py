@@ -100,7 +100,11 @@ class MemoryPool:
 
         Mirrors ``cudaMalloc`` + ``cudaMemset``; the returned buffer counts
         toward :attr:`allocated_bytes` and :attr:`peak_bytes` until freed.
+        Capacity is checked from ``shape`` and ``dtype`` *before* the host
+        array exists, so a simulated out-of-memory never asks the host for
+        the oversized block.
         """
+        self._check_capacity(int(np.prod(shape)) * np.dtype(dtype).itemsize)
         array = np.zeros(shape, dtype=dtype)
         return self._register(array, label)
 
@@ -120,14 +124,17 @@ class MemoryPool:
         """
         return self._register(np.asarray(array), label)
 
-    def _register(self, array, label):
-        nbytes = array.nbytes
+    def _check_capacity(self, nbytes):
         if self.allocated_bytes + nbytes > self.capacity_bytes:
             raise OutOfDeviceMemory(
                 f"allocation of {nbytes} B would exceed device capacity "
                 f"({self.allocated_bytes} B already in use, "
                 f"{self.capacity_bytes} B total)"
             )
+
+    def _register(self, array, label):
+        nbytes = array.nbytes
+        self._check_capacity(nbytes)
         buf = DeviceBuffer(array=array, pool=self, label=label)
         self.allocated_bytes += nbytes
         self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)

@@ -6,8 +6,14 @@ import pytest
 
 from repro import Plan, nudft_type1, nufft2d1, nufft2d2, relative_l2_error
 from repro.core.binsort import bin_sort, make_subproblems, to_grid_coordinates
-from repro.core.interp import interp_cached, interp_gm, interp_gm_sort
-from repro.core.spread import spread_cached, spread_gm, spread_gm_sort, spread_sm
+from repro.core.interp import interp_cached, interp_gm, interp_gm_sort, interp_subproblems
+from repro.core.spread import (
+    spread_cached,
+    spread_gm,
+    spread_gm_sort,
+    spread_sm,
+    spread_subproblems,
+)
 from repro.core.stencil import build_stencil_cache
 from repro.kernels import ESKernel
 from repro.kernels.es_kernel import (
@@ -78,8 +84,8 @@ class TestStencilCache:
         cache = build_stencil_cache(grid_coords, fine_shape, kernel,
                                     kernel_eval="exact")
         base = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
-        cached = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128,
-                           cache=cache)
+        cached = spread_subproblems(fine_shape, c, cache, sort,
+                                    make_subproblems(sort, 1024), np.complex128)
         np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
         sparse = spread_cached(fine_shape, c, cache, np.complex128)
         np.testing.assert_allclose(sparse, base, rtol=1e-10, atol=1e-10)
@@ -91,22 +97,24 @@ class TestStencilCache:
         cache = build_stencil_cache(grid_coords, fine_shape, kernel,
                                     kernel_eval="exact")
         base = interp_gm(grid, grid_coords, kernel, np.complex128)
-        cached = interp_gm(grid, grid_coords, kernel, np.complex128, cache=cache)
+        cached = interp_subproblems(grid, cache, sort, make_subproblems(sort, 1024),
+                                    np.complex128)
         np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
         sparse = interp_cached(grid, grid_coords, cache, np.complex128)
         np.testing.assert_allclose(sparse, base, rtol=1e-10, atol=1e-10)
 
     def test_budget_disables_fused_form(self, rng):
         fine_shape = (32, 32)
-        kernel, grid_coords, _ = _grid_setup(rng, fine_shape, 500)
+        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 500)
         fused = build_stencil_cache(grid_coords, fine_shape, kernel)
         lean = build_stencil_cache(grid_coords, fine_shape, kernel, fuse_budget=0)
         assert fused.is_fused and fused.interp_matrix is not None
         assert not lean.is_fused and lean.interp_matrix is None
-        # The per-dimension arrays are still there for the spreaders.
+        # The per-dimension arrays are still there for the over-budget engine.
         c = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        a = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128, cache=fused)
-        b = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128, cache=lean)
+        a = spread_cached(fine_shape, c, fused, np.complex128)
+        b = spread_subproblems(fine_shape, c, lean, sort, make_subproblems(sort, 1024),
+                               np.complex128)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_sm_spread_with_cache(self, rng):
@@ -117,8 +125,7 @@ class TestStencilCache:
         cache = build_stencil_cache(grid_coords, fine_shape, kernel,
                                     kernel_eval="exact")
         base = spread_sm(fine_shape, grid_coords, c, kernel, sort, subs, np.complex128)
-        cached = spread_sm(fine_shape, grid_coords, c, kernel, sort, subs,
-                           np.complex128, cache=cache)
+        cached = spread_subproblems(fine_shape, c, cache, sort, subs, np.complex128)
         np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
 
 

@@ -1,6 +1,8 @@
 """Tests of the simulated GPU substrate: device, memory, transactions, atomics,
 cost model, thread-block helpers and the FFT wrapper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +80,20 @@ class TestDeviceAndMemory:
         pool = MemoryPool(capacity_bytes=100)
         with pytest.raises(OutOfDeviceMemory):
             pool.allocate((1000,), np.float64)
+
+    def test_simulated_oom_allocates_no_host_memory(self):
+        # Capacity is checked before the host array exists: the 16 GB device
+        # refusing a 58.6 GiB fine grid must not first ask the host for it.
+        pool = Device().memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfDeviceMemory):
+                pool.allocate((int(58.6 * 2**30) // 16,), np.complex128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert pool.allocated_bytes == 0 and pool.n_allocations == 0
 
     def test_transfer_and_alloc_times_monotone(self):
         t_small = transfer_time_seconds(1_000, V100_SPEC)
