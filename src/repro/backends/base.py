@@ -8,17 +8,19 @@ for type 3) where every stage is dispatched through an
 
 ``reference``
     Exact dense numpy numerics: the seed implementation's per-transform loop
-    with on-the-fly (exact) kernel evaluation and no stencil cache.  Slow but
-    dependency-free ground truth for the other backends.
+    over the one exact direct sum (SM plans keep the padded-bin scheme of
+    paper Fig. 1), with on-the-fly (exact) kernel evaluation and no stencil
+    cache.  Slow but dependency-free ground truth for the other backends;
+    the only backend with ``uses_stencil_cache = False``.
 ``cached``
     The fast path: plan-level stencil cache, fused ``n_trans`` passes and the
-    CSR sparse spread/interp operator.  Pure numerics -- no simulated-GPU
-    profiling overhead.
+    CSR sparse spread/interp operator (per-subproblem box GEMMs over the
+    stencil budget).  Pure numerics -- no simulated-GPU profiling overhead.
 ``device_sim``
-    Wraps the numerics of ``cached`` (or ``reference`` when the stencil cache
-    is disabled) and routes every stage through the simulated GPU kernel
-    profiles, so the paper's cost-model timings (``exec`` / ``total`` /
-    ``total+mem``) stay attached to each execute call.  This is the default.
+    Delegates every stage's numerics to ``cached`` and records the simulated
+    GPU kernel profiles, so the paper's cost-model timings (``exec`` /
+    ``total`` / ``total+mem``) stay attached to each execute call.  This is
+    the default.
 
 The registry mirrors :mod:`repro.baselines.registry`: backends are selected
 by name (``Opts.backend``) and new ones can be plugged in with
@@ -69,10 +71,8 @@ class ExecutionBackend:
     #: Whether this backend records simulated-GPU kernel profiles into the
     #: execute pipeline (drives ``Plan.timings`` / ``spread_fraction``).
     records_profiles = False
-
-    def wants_stencil_cache(self, opts):
-        """Whether ``Plan.set_pts`` should precompute the stencil cache."""
-        return bool(opts.cache_stencils)
+    #: Whether ``Plan.set_pts`` precomputes the plan-level stencil cache.
+    uses_stencil_cache = True
 
     # Stage hooks -------------------------------------------------------- #
     def spread(self, plan, strengths, pipeline, out=None):

@@ -33,11 +33,6 @@ class CachedBackend(ExecutionBackend):
     name = "cached"
     records_profiles = False
 
-    def wants_stencil_cache(self, opts):
-        # The cache *is* this backend; build it even when the generic
-        # ``cache_stencils`` switch was turned off.
-        return True
-
     # ------------------------------------------------------------------ #
     def spread(self, plan, strengths, pipeline, out=None):
         cache = plan._stencil

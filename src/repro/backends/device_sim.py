@@ -1,8 +1,8 @@
 """Device-sim backend: real numerics plus simulated-GPU kernel profiles.
 
-Numerically this backend delegates to the ``cached`` fast path (or to the
-``reference`` per-transform loop when the plan carries no stencil cache, i.e.
-``cache_stencils=False``), then attaches the per-stage
+Numerically this backend delegates every stage to the shared ``cached``
+instance, looked up at call time so that a re-registered or instrumented
+``cached`` backend is the one that runs, then attaches the per-stage
 :class:`~repro.gpu.profiler.KernelProfile` records the paper's cost model
 prices: method-specific spread/interp kernels, the cuFFT launches (recorded by
 :class:`~repro.gpu.fft.DeviceFFT`), and the deconvolution passes.  Plans on
@@ -61,11 +61,6 @@ class DeviceSimBackend(ExecutionBackend):
     records_profiles = True
 
     @staticmethod
-    def _numerics(plan):
-        """Numeric engine: cached fast path when a stencil cache exists."""
-        return get_backend("cached" if plan._stencil is not None else "reference")
-
-    @staticmethod
     def _add_fused_stage(plan, pipeline, profiles, n_trans):
         """Record one fused launch per stage kernel.
 
@@ -86,7 +81,7 @@ class DeviceSimBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------ #
     def spread(self, plan, strengths, pipeline, out=None):
-        fine = self._numerics(plan).spread(plan, strengths, pipeline, out=out)
+        fine = get_backend("cached").spread(plan, strengths, pipeline, out=out)
         subproblems = (
             plan._ensure_subproblems() if plan.method is SpreadMethod.SM else None
         )
@@ -101,14 +96,14 @@ class DeviceSimBackend(ExecutionBackend):
         # DeviceFFT records one fused batched-cufft profile by itself; the
         # launch still passes the device's fault gate like every stage.
         plan.device.check_launch("cufft_forward")
-        return self._numerics(plan).fft_forward(plan, fine, pipeline)
+        return get_backend("cached").fft_forward(plan, fine, pipeline)
 
     def fft_inverse(self, plan, fine, pipeline):
         plan.device.check_launch("cufft_inverse")
-        return self._numerics(plan).fft_inverse(plan, fine, pipeline)
+        return get_backend("cached").fft_inverse(plan, fine, pipeline)
 
     def deconvolve(self, plan, fine_hat, pipeline, out=None):
-        modes = self._numerics(plan).deconvolve(plan, fine_hat, pipeline, out=out)
+        modes = get_backend("cached").deconvolve(plan, fine_hat, pipeline, out=out)
         profile = deconvolve_kernel_profile(
             plan.n_modes, plan.precision.complex_itemsize
         )
@@ -116,7 +111,7 @@ class DeviceSimBackend(ExecutionBackend):
         return modes
 
     def precorrect(self, plan, modes, pipeline, out=None):
-        fine = self._numerics(plan).precorrect(plan, modes, pipeline, out=out)
+        fine = get_backend("cached").precorrect(plan, modes, pipeline, out=out)
         profile = deconvolve_kernel_profile(
             plan.n_modes, plan.precision.complex_itemsize, name="precorrect"
         )
@@ -124,7 +119,7 @@ class DeviceSimBackend(ExecutionBackend):
         return fine
 
     def interp(self, plan, fine, pipeline, out=None):
-        result = self._numerics(plan).interp(plan, fine, pipeline, out=out)
+        result = get_backend("cached").interp(plan, fine, pipeline, out=out)
         profiles = interp_stage_profiles(
             plan.interp_method, plan._sort, plan.kernel, plan.precision,
             plan.opts.threads_per_block, plan.device.spec,

@@ -1,10 +1,13 @@
 """Reference backend: exact dense numpy numerics, one transform at a time.
 
-This is the seed implementation's execution strategy (the ``cache_stencils=
-False, kernel_eval="exact"`` path of earlier revisions): every stage loops
-over the ``n_trans`` transforms, kernels are evaluated on the fly through the
+This is the seed implementation's execution strategy: every stage loops over
+the ``n_trans`` transforms, kernels are evaluated on the fly through the
 exact ``exp(beta*(sqrt(1-z^2)-1))`` form (no plan-level stencil cache), and no
-simulated-GPU profiles are recorded.  It is the ground truth the ``cached``
+simulated-GPU profiles are recorded.  GM and GM-sort plans spread with the
+direct sum :func:`~repro.core.spread.spread_gm`; SM plans keep the padded-bin
+accumulation of paper Fig. 1 (:func:`~repro.core.spread.spread_sm`) as a
+fidelity check of that scheme.  Interpolation is always the direct gather
+:func:`~repro.core.interp.interp_gm`.  It is the ground truth the ``cached``
 and ``device_sim`` backends are validated against, and the baseline the
 throughput benchmark measures speedups from.
 """
@@ -13,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.interp import interpolate
+from ..core.interp import interp_gm
 from ..core.options import SpreadMethod
-from ..core.spread import spread_gm, spread_gm_sort, spread_sm
+from ..core.spread import spread_gm, spread_sm
 from .base import ExecutionBackend
 
 __all__ = ["ReferenceBackend"]
@@ -26,21 +29,17 @@ class ReferenceBackend(ExecutionBackend):
 
     name = "reference"
     records_profiles = False
-
-    def wants_stencil_cache(self, opts):
-        return False
+    uses_stencil_cache = False
 
     # ------------------------------------------------------------------ #
     def _spread_one(self, plan, strengths):
         cplx = plan.precision.complex_dtype
-        if plan.method is SpreadMethod.GM:
-            return spread_gm(plan.fine_shape, plan._grid_coords, strengths,
-                             plan.kernel, cplx)
-        if plan.method is SpreadMethod.GM_SORT:
-            return spread_gm_sort(plan.fine_shape, plan._grid_coords, strengths,
-                                  plan.kernel, plan._sort, cplx)
-        return spread_sm(plan.fine_shape, plan._grid_coords, strengths,
-                         plan.kernel, plan._sort, plan._ensure_subproblems(), cplx)
+        if plan.method is SpreadMethod.SM:
+            return spread_sm(plan.fine_shape, plan._grid_coords, strengths,
+                             plan.kernel, plan._sort, plan._ensure_subproblems(),
+                             cplx)
+        return spread_gm(plan.fine_shape, plan._grid_coords, strengths,
+                         plan.kernel, cplx)
 
     @staticmethod
     def _stacked(parts, out):
@@ -92,10 +91,8 @@ class ReferenceBackend(ExecutionBackend):
 
     def interp(self, plan, fine, pipeline, out=None):
         cplx = plan.precision.complex_dtype
-        method = plan.interp_method
         return self._stacked(
-            [interpolate(fine[t], plan._grid_coords, plan.kernel, method,
-                         plan._sort, cplx)
+            [interp_gm(fine[t], plan._grid_coords, plan.kernel, cplx)
              for t in range(fine.shape[0])],
             out,
         )

@@ -11,6 +11,8 @@ All three comparators are reimplemented here (per the substitution policy in
 * :mod:`repro.baselines.gpunufft`   -- gpuNUFFT, sector-based GPU gridding with
   a Kaiser-Bessel window and an imaging-grade accuracy floor.
 
+Numerically the three differ only in the window, so their ``type1`` /
+``type2`` share one pipeline, :mod:`repro.baselines.gridding`.
 :mod:`repro.baselines.registry` exposes them behind one adapter interface used
 by the benchmark harness.
 """

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.binsort import to_grid_coordinates
-from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
-from ..core.interp import interp_gm, interp_kernel_profiles
+from ..core.interp import interp_kernel_profiles
 from ..core.options import Precision, SpreadMethod
-from ..core.spread import spread_gm, spread_kernel_profiles
+from ..core.spread import spread_kernel_profiles
 from ..gpu.costmodel import CostModel
 from ..gpu.device import V100_SPEC
 from ..gpu.fft import fft_kernel_profile
@@ -34,6 +32,7 @@ from ..gpu.profiler import PipelineProfile
 from ..kernels.gaussian import GaussianKernel
 from ..metrics.modeling import ModelResult, sample_spread_stats
 from ..core.deconvolve import deconvolve_kernel_profile
+from .gridding import gridding_type1, gridding_type2
 
 __all__ = ["CunfftLibrary"]
 
@@ -64,31 +63,15 @@ class CunfftLibrary:
     # ------------------------------------------------------------------ #
     # numerics
     # ------------------------------------------------------------------ #
-    def _geometry(self, n_modes, eps, points):
-        kernel = GaussianKernel.from_tolerance(eps)
-        fine_shape = fine_grid_shape(n_modes, kernel.width)
-        ndim = len(n_modes)
-        grid_coords = [to_grid_coordinates(points[d], fine_shape[d]) for d in range(ndim)]
-        correction = CorrectionFactors(kernel, n_modes, fine_shape)
-        return kernel, fine_shape, grid_coords, correction
-
     def type1(self, points, strengths, n_modes, eps, precision="double"):
         """Type-1 transform with Gaussian gridding (GM spreading order)."""
-        precision = Precision.parse(precision)
-        kernel, fine_shape, grid_coords, correction = self._geometry(n_modes, eps, points)
-        strengths = np.asarray(strengths).astype(np.complex128)
-        fine = spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex128)
-        fine_hat = np.fft.fftn(fine)
-        return correction.truncate_and_scale(fine_hat, dtype=precision.complex_dtype)
+        return gridding_type1(GaussianKernel.from_tolerance(eps), points, strengths,
+                              n_modes, precision)
 
     def type2(self, points, modes, eps, precision="double"):
         """Type-2 transform with Gaussian window interpolation."""
-        precision = Precision.parse(precision)
-        modes = np.asarray(modes)
-        kernel, fine_shape, grid_coords, correction = self._geometry(modes.shape, eps, points)
-        fine = correction.pad_and_scale(modes, dtype=np.complex128)
-        fine = np.fft.ifftn(fine) * float(np.prod(fine_shape))
-        return interp_gm(fine, grid_coords, kernel, dtype=precision.complex_dtype)
+        return gridding_type2(GaussianKernel.from_tolerance(eps), points, modes,
+                              precision)
 
     # ------------------------------------------------------------------ #
     # cost model

@@ -20,14 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.binsort import bin_sort, to_grid_coordinates
-from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
-from ..core.interp import interp_gm_sort
 from ..core.options import Precision
-from ..core.spread import spread_gm_sort
 from ..kernels.es_kernel import ESKernel
 from ..metrics.modeling import ModelResult
+from .gridding import gridding_type1, gridding_type2
 
 __all__ = ["FinufftCPU", "CPUCostConstants"]
 
@@ -89,34 +86,12 @@ class FinufftCPU:
     # ------------------------------------------------------------------ #
     def type1(self, points, strengths, n_modes, eps, precision="double"):
         """Type-1 transform (exact same algorithm as the core library)."""
-        precision = Precision.parse(precision)
-        kernel = ESKernel.from_tolerance(eps)
-        fine_shape = fine_grid_shape(n_modes, kernel.width)
-        ndim = len(n_modes)
-        grid_coords = [to_grid_coordinates(points[d], fine_shape[d]) for d in range(ndim)]
-        sort = bin_sort(grid_coords, fine_shape, tuple(16 for _ in range(ndim)))
-        strengths = np.asarray(strengths).astype(np.complex128)
-        fine = spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort,
-                              dtype=np.complex128)
-        fine_hat = np.fft.fftn(fine)
-        correction = CorrectionFactors(kernel, n_modes, fine_shape)
-        return correction.truncate_and_scale(fine_hat, dtype=precision.complex_dtype)
+        return gridding_type1(ESKernel.from_tolerance(eps), points, strengths,
+                              n_modes, precision)
 
     def type2(self, points, modes, eps, precision="double"):
         """Type-2 transform."""
-        precision = Precision.parse(precision)
-        modes = np.asarray(modes)
-        n_modes = modes.shape
-        kernel = ESKernel.from_tolerance(eps)
-        fine_shape = fine_grid_shape(n_modes, kernel.width)
-        ndim = len(n_modes)
-        grid_coords = [to_grid_coordinates(points[d], fine_shape[d]) for d in range(ndim)]
-        sort = bin_sort(grid_coords, fine_shape, tuple(16 for _ in range(ndim)))
-        correction = CorrectionFactors(kernel, n_modes, fine_shape)
-        fine = correction.pad_and_scale(modes, dtype=np.complex128)
-        fine = np.fft.ifftn(fine) * float(np.prod(fine_shape))
-        return interp_gm_sort(fine, grid_coords, kernel, sort,
-                              dtype=precision.complex_dtype)
+        return gridding_type2(ESKernel.from_tolerance(eps), points, modes, precision)
 
     # ------------------------------------------------------------------ #
     # cost model

@@ -28,14 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.binsort import to_grid_coordinates
-from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
-from ..core.interp import interp_gm
 from ..core.options import Precision
-from ..core.spread import spread_gm
 from ..kernels.kaiser_bessel import GPUNUFFT_ACCURACY_FLOOR, KaiserBesselKernel
 from ..metrics.modeling import ModelResult
+from .gridding import gridding_type1, gridding_type2
 
 __all__ = ["GpuNufftLibrary", "GpuNufftCostConstants"]
 
@@ -104,37 +101,21 @@ class GpuNufftLibrary:
     # ------------------------------------------------------------------ #
     # numerics
     # ------------------------------------------------------------------ #
-    def _geometry(self, n_modes, eps, points):
-        kernel = KaiserBesselKernel.from_tolerance(eps)
-        fine_shape = fine_grid_shape(n_modes, kernel.width)
-        ndim = len(n_modes)
-        grid_coords = [to_grid_coordinates(points[d], fine_shape[d]) for d in range(ndim)]
-        correction = CorrectionFactors(kernel, n_modes, fine_shape)
-        return kernel, fine_shape, grid_coords, correction
-
     def type1(self, points, strengths, n_modes, eps, precision="single"):
         """Adjoint (gridding) transform with the Kaiser-Bessel window.
 
         The numerical result is what an output-driven gather produces -- it is
         identical (up to summation order) to spreading with the same window,
-        so we reuse the spreading primitive; the *cost* model, not the
+        so we reuse the shared gridding pipeline; the *cost* model, not the
         numerics, carries the sector-scheme behaviour.
         """
-        precision = Precision.parse(precision)
-        kernel, fine_shape, grid_coords, correction = self._geometry(n_modes, eps, points)
-        strengths = np.asarray(strengths).astype(np.complex128)
-        fine = spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex128)
-        fine_hat = np.fft.fftn(fine)
-        return correction.truncate_and_scale(fine_hat, dtype=precision.complex_dtype)
+        return gridding_type1(KaiserBesselKernel.from_tolerance(eps), points,
+                              strengths, n_modes, precision)
 
     def type2(self, points, modes, eps, precision="single"):
         """Forward transform (de-gridding / interpolation)."""
-        precision = Precision.parse(precision)
-        modes = np.asarray(modes)
-        kernel, fine_shape, grid_coords, correction = self._geometry(modes.shape, eps, points)
-        fine = correction.pad_and_scale(modes, dtype=np.complex128)
-        fine = np.fft.ifftn(fine) * float(np.prod(fine_shape))
-        return interp_gm(fine, grid_coords, kernel, dtype=precision.complex_dtype)
+        return gridding_type2(KaiserBesselKernel.from_tolerance(eps), points, modes,
+                              precision)
 
     # ------------------------------------------------------------------ #
     # cost model

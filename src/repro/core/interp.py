@@ -6,11 +6,12 @@ the GPU the only algorithmic lever is the *order* in which threads visit the
 points: unsorted (GM) threads in a warp read scattered grid regions, while
 bin-sorted (GM-sort) threads read localized, cache-friendly regions.  There
 are no write conflicts (each thread owns its output ``c_j``), which is why the
-paper applies no SM-style scheme to interpolation.  On the host, though, the
-over-budget engine (:func:`interp_subproblems`) reuses the SM subproblem
-split for every method: a subproblem's footprint box is gathered once and
-contracted with one GEMM, the transpose of
-:func:`~repro.core.spread.spread_subproblems`.
+paper applies no SM-style scheme to interpolation.  On the host the visiting
+order changes nothing at all -- each ``c_j`` is one sum -- so ``interp_gm``
+is the only direct gather, for every method.  The over-budget engine
+(:func:`interp_subproblems`) reuses the SM subproblem split for every
+method: a subproblem's footprint box is gathered once and contracted with
+one GEMM, the transpose of :func:`~repro.core.spread.spread_subproblems`.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from .spread import (
 )
 
 __all__ = [
-    "interpolate",
     "interp_cached",
     "interp_gm",
-    "interp_gm_sort",
     "interp_subproblems",
     "interp_kernel_profiles",
 ]
@@ -61,8 +60,8 @@ def _as_grid_batch(grid, ndim):
     return (grid if batched else grid[None]), batched
 
 
-def _interp_points(grids, grid_coords, kernel, point_order, out):
-    """Interpolate the points listed in ``point_order`` (chunked, batched).
+def _interp_points(grids, grid_coords, kernel, out):
+    """Interpolate every point into ``out``, in user order, chunk by chunk.
 
     ``grids`` has shape ``(n_trans, *fine_shape)`` and ``out`` shape
     ``(n_trans, M)``; each chunk gathers the fine-grid values of all
@@ -74,8 +73,8 @@ def _interp_points(grids, grid_coords, kernel, point_order, out):
     flat = grids.reshape(n_trans, -1)
     chunk = _point_chunk(n_trans, kernel.width ** ndim)
 
-    for start in range(0, point_order.shape[0], chunk):
-        sel = point_order[start:start + chunk]
+    for start in range(0, out.shape[1], chunk):
+        sel = slice(start, start + chunk)
         flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel)
         gathered = flat[:, flat_idx]  # (n_trans, m, w^d)
         out[:, sel] = np.einsum("tmk,mk->tm", gathered, wprod)
@@ -149,50 +148,21 @@ def interp_subproblems(grid, cache, sort, subproblems, dtype=np.complex64, out=N
     return values if batched else values[0]
 
 
-def _interp_ordered(grid, grid_coords, kernel, point_order, dtype, out=None):
+def interp_gm(grid, grid_coords, kernel, dtype=np.complex64, out=None):
+    """The exact direct gather: targets visited in user order.
+
+    Kernels are evaluated on the fly with the exact ES form.  ``grid`` may be
+    ``(*fine_shape)`` or a stacked ``(n_trans, *fine_shape)`` block; the
+    output gains a matching leading axis (or lands in ``out``).
+    """
     ndim = len(grid_coords)
     grids, batched = _as_grid_batch(grid, ndim)
     m = grid_coords[0].shape[0]
     values = out if out is not None else np.zeros((grids.shape[0], m), dtype=dtype)
-    _interp_points(grids, grid_coords, kernel, point_order, values)
+    _interp_points(grids, grid_coords, kernel, values)
     if out is not None:
         return out
     return values if batched else values[0]
-
-
-def interp_gm(grid, grid_coords, kernel, dtype=np.complex64, out=None):
-    """GM interpolation: targets visited in their user-supplied order.
-
-    ``grid`` may be ``(*fine_shape)`` or a stacked ``(n_trans, *fine_shape)``
-    block; the output gains a matching leading axis (or lands in ``out``).
-    """
-    m = grid_coords[0].shape[0]
-    order = np.arange(m, dtype=np.int64)
-    return _interp_ordered(grid, grid_coords, kernel, order, dtype, out=out)
-
-
-def interp_gm_sort(grid, grid_coords, kernel, sort, dtype=np.complex64, out=None):
-    """GM-sort interpolation: targets visited in bin-sorted order.
-
-    The permuted visiting order only changes memory locality; the value
-    written to each ``c_j`` is identical to GM up to floating point.
-    """
-    return _interp_ordered(grid, grid_coords, kernel, sort.permutation, dtype, out=out)
-
-
-def interpolate(grid, grid_coords, kernel, method, sort=None, dtype=np.complex64,
-                out=None):
-    """Dispatch to the requested interpolation method."""
-    method = SpreadMethod.parse(method)
-    if method is SpreadMethod.GM:
-        return interp_gm(grid, grid_coords, kernel, dtype, out=out)
-    if method in (SpreadMethod.GM_SORT, SpreadMethod.SM):
-        # The paper notes an SM-style scheme brings little benefit for
-        # interpolation; SM requests fall back to GM-sort (same as the code).
-        if sort is None:
-            raise ValueError("GM-sort interpolation requires a BinSort")
-        return interp_gm_sort(grid, grid_coords, kernel, sort, dtype, out=out)
-    raise ValueError(f"cannot interpolate with method {method!r}")
 
 
 def interp_kernel_profiles(method, sort, kernel, precision, threads_per_block=128,

@@ -160,19 +160,17 @@ class Opts:
     sort_points : bool
         Whether set_pts performs the bin sort (GM ignores the permutation but
         the flag lets benchmarks price the sort separately).
-    cache_stencils : bool
-        Whether ``set_pts`` precomputes the per-point kernel stencils (and,
-        within ``stencil_budget``, the fused sparse spread/interp operator)
-        so repeated ``execute`` calls never re-evaluate the kernel.  Disabling
-        this reproduces the seed implementation's per-transform loop, which
-        the throughput benchmark uses as its baseline.
     kernel_eval : str
-        "horner" evaluates the ES kernel through its precomputed
+        How ``set_pts`` evaluates the kernel values of the plan-level stencil
+        cache: "horner" through the ES kernel's precomputed
         piecewise-polynomial (Horner) approximation, "exact" through
-        ``exp(beta*(sqrt(1-z^2)-1))`` directly.
+        ``exp(beta*(sqrt(1-z^2)-1))`` directly.  The ``reference`` backend
+        builds no stencil cache and always evaluates exactly.
     stencil_budget : int
         Maximum fused stencil entry count ``M * w^d`` the cache may
-        materialize (indices + weights + sparse operator).
+        materialize (indices + weights + sparse operator).  Over it the
+        ``cached`` engine runs per-subproblem box GEMMs instead, so the budget
+        bounds memory, not which sum is computed.
     reuse_workspace : bool
         Whether the plan's :class:`~repro.core.workspace.Workspace` reuses
         its fine-grid/FFT/staging buffers across executes (the zero-copy
@@ -181,10 +179,11 @@ class Opts:
         ``benchmarks/bench_interop.py``.
     backend : str
         Execution backend name (see :mod:`repro.backends`): ``"reference"``
-        (exact per-transform numpy loop), ``"cached"`` (fused stencil-cache /
-        CSR fast path, no profiling) or ``"device_sim"`` (cached/reference
-        numerics with the simulated-GPU cost profiles attached).  ``"auto"``
-        resolves to ``device_sim``, preserving the paper's modelled timings.
+        (exact per-transform numpy loop, the seed baseline), ``"cached"``
+        (fused stencil-cache / CSR fast path, no profiling) or
+        ``"device_sim"`` (cached numerics with the simulated-GPU cost
+        profiles attached).  ``"auto"`` resolves to ``device_sim``,
+        preserving the paper's modelled timings.
     """
 
     method: SpreadMethod = SpreadMethod.AUTO
@@ -196,7 +195,6 @@ class Opts:
     threads_per_block: int = 128
     spread_only: bool = False
     sort_points: bool = True
-    cache_stencils: bool = True
     kernel_eval: str = "horner"
     stencil_budget: int = 1 << 25
     reuse_workspace: bool = True
@@ -284,7 +282,6 @@ class Opts:
             "threads_per_block": self.threads_per_block,
             "spread_only": self.spread_only,
             "sort_points": self.sort_points,
-            "cache_stencils": self.cache_stencils,
             "kernel_eval": self.kernel_eval,
             "stencil_budget": self.stencil_budget,
             "reuse_workspace": self.reuse_workspace,

@@ -468,11 +468,11 @@ class Plan:
         # Plan-level stencil cache: the per-point kernel stencils (and, within
         # budget, the fused sparse spread/interp operator) depend only on the
         # points, so they are computed once here and reused by every execute.
-        # Rebuilding on each set_pts call is the cache invalidation.  Whether
-        # the cache exists at all is the backend's call: the reference backend
-        # re-evaluates kernels on the fly, the cached backend requires it.
+        # Rebuilding on each set_pts call is the cache invalidation.  Only the
+        # reference backend goes without it (it re-evaluates kernels on the
+        # fly); every other backend's numerics run on it.
         self._stencil = None
-        if self.backend.wants_stencil_cache(self.opts):
+        if self.backend.uses_stencil_cache:
             points_digest = None
             if self.artifact_store is not None:
                 h = hashlib.blake2b(digest_size=16)

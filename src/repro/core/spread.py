@@ -20,13 +20,14 @@ is what the cost profiles capture:
     each subproblem accumulates into a *padded bin* copy in shared memory and
     then adds that copy back to global memory once (paper Fig. 1).
 
-The per-method implementations here (``spread_gm`` / ``spread_gm_sort`` /
-``spread_sm``) are genuinely distinct code paths (different summation orders
-and different intermediate buffers) kept for the ``reference`` backend and the
-baselines; tests assert they agree to floating-point tolerance.  The fast
-engines run one sum for every method: ``spread_cached`` (the fused sparse
-operator) within the stencil budget, and ``spread_subproblems`` (per-subproblem
-padded-box GEMMs, the host form of the SM scheme) over it.
+On the host the three methods differ only in summation order, so the
+exact direct sum is one function, ``spread_gm`` (user order, chunked
+``bincount``, kernel evaluated on the fly).  ``spread_sm`` keeps the padded-bin
+accumulation of paper Fig. 1 as a fidelity check of that scheme; the
+``reference`` backend runs it for SM plans.  The fast engines also run one
+sum for every method: ``spread_cached`` (the fused sparse operator) within
+the stencil budget, and ``spread_subproblems`` (per-subproblem padded-box
+GEMMs, the host form of the SM scheme) over it.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ from .stencil import _tensor_stencil
 
 __all__ = [
     "compute_kernel_stencil",
-    "spread",
     "spread_cached",
     "spread_gm",
-    "spread_gm_sort",
     "spread_sm",
     "spread_subproblems",
     "spread_kernel_profiles",
@@ -156,8 +155,8 @@ def _grid_views(grids):
     return flat.real, flat.imag
 
 
-def _spread_points(grids, grid_coords, strengths, kernel, point_order):
-    """Spread the points listed in ``point_order`` (chunked, any order).
+def _spread_points(grids, grid_coords, strengths, kernel):
+    """Spread every point into ``grids``, in user order, chunk by chunk.
 
     ``grids`` has shape ``(n_trans, *fine_shape)`` and ``strengths`` shape
     ``(n_trans, M)``; all transforms are accumulated in one fused
@@ -173,8 +172,8 @@ def _spread_points(grids, grid_coords, strengths, kernel, point_order):
     chunk = _point_chunk(n_trans, k_entries)
     t_offsets = (np.arange(n_trans, dtype=np.int64) * size)[:, None, None]
 
-    for start in range(0, point_order.shape[0], chunk):
-        sel = point_order[start:start + chunk]
+    for start in range(0, strengths.shape[1], chunk):
+        sel = slice(start, start + chunk)
         flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel)
         cw = strengths[:, sel]
         if n_trans == 1:
@@ -352,46 +351,36 @@ def spread_subproblems(fine_shape, strengths, cache, sort, subproblems,
     return grids if batched else grids[0]
 
 
-def _spread_ordered(fine_shape, grid_coords, strengths, kernel, point_order, dtype,
-                    out=None):
+# --------------------------------------------------------------------------- #
+# exact direct sums (kernel evaluated on the fly)
+# --------------------------------------------------------------------------- #
+def spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex64,
+              out=None):
+    """The exact direct sum of paper Eq. (7): points spread in user order.
+
+    Kernels are evaluated on the fly with the exact ES form.  GM-sort visits
+    the same points in bin-sorted order, which on the host changes only the
+    summation order, so this is the direct spreader for every method.
+    ``strengths`` may be ``(M,)`` or a stacked ``(n_trans, M)`` block; the
+    output gains a matching leading axis (or is written into ``out``).
+    """
     block, batched = _as_strength_batch(strengths)
-    if out is not None and not out.flags.c_contiguous:
+    if out is None:
+        grids = np.zeros((block.shape[0],) + tuple(fine_shape), dtype=dtype)
+    elif out.flags.c_contiguous:
+        grids = out
+        grids.fill(0)
+    else:
         # The fused bincount pass needs flat C-order views of the grid;
         # accumulate into a contiguous scratch and assign through the
         # destination's strides at the end.
         grids = np.zeros(out.shape, dtype=out.dtype)
-        _spread_points(grids, grid_coords, block, kernel, point_order)
+    _spread_points(grids, grid_coords, block, kernel)
+    if out is None:
+        return grids if batched else grids[0]
+    if grids is not out:
         out[...] = grids
-        return out
-    if out is not None:
-        grids = out
-        grids.fill(0)
-    else:
-        grids = np.zeros((block.shape[0],) + tuple(fine_shape), dtype=dtype)
-    _spread_points(grids, grid_coords, block, kernel, point_order)
-    if out is not None:
-        return out
-    return grids if batched else grids[0]
-
-
-def spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex64,
-              out=None):
-    """GM spreading: points processed in their user-supplied order.
-
-    ``strengths`` may be ``(M,)`` or a stacked ``(n_trans, M)`` block; the
-    output gains a matching leading axis (or is written into ``out``).
-    """
-    m = np.asarray(strengths).shape[-1]
-    order = np.arange(m, dtype=np.int64)
-    return _spread_ordered(fine_shape, grid_coords, strengths, kernel, order,
-                           dtype, out=out)
-
-
-def spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort, dtype=np.complex64,
-                   out=None):
-    """GM-sort spreading: points processed in bin-sorted (permuted) order."""
-    return _spread_ordered(fine_shape, grid_coords, strengths, kernel,
-                           sort.permutation, dtype, out=out)
+    return out
 
 
 def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
@@ -477,28 +466,6 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
     if out is not None:
         return out
     return grids if batched else grids[0]
-
-
-def spread(fine_shape, grid_coords, strengths, kernel, method, sort=None,
-           max_subproblem_size=1024, dtype=np.complex64, out=None):
-    """Dispatch to the requested spreading method.
-
-    ``sort`` (a :class:`~repro.core.binsort.BinSort`) is required for GM-sort
-    and SM.  ``out``, when given, receives the batched fine grid in place.
-    """
-    method = SpreadMethod.parse(method)
-    if method is SpreadMethod.GM:
-        return spread_gm(fine_shape, grid_coords, strengths, kernel, dtype, out=out)
-    if sort is None:
-        raise ValueError(f"method {method.value} requires a BinSort")
-    if method is SpreadMethod.GM_SORT:
-        return spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort, dtype,
-                              out=out)
-    if method is SpreadMethod.SM:
-        subproblems = make_subproblems(sort, max_subproblem_size)
-        return spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
-                         dtype, out=out)
-    raise ValueError(f"cannot spread with method {method!r}")
 
 
 # --------------------------------------------------------------------------- #

@@ -98,6 +98,25 @@ class TestBackendEquivalence:
         for backend in ("cached", "device_sim"):
             assert relative_l2_error(results[backend], results["reference"]) < 1e-8
 
+    @pytest.mark.parametrize("nufft_type", [1, 2])
+    @pytest.mark.parametrize("n_modes", [(14, 18), (8, 10, 6)])
+    def test_reference_methods_share_one_sum(self, rng, nufft_type, n_modes):
+        # GM and GM-sort differ only in GPU thread order, so the reference
+        # backend computes them with the same direct sum, bit for bit; SM
+        # keeps its padded-bin accumulation (paper Fig. 1), another order.
+        # eps=1e-3 keeps the 3D double padded bin within shared memory, so
+        # SM does not fall back to GM-sort (paper Remark 2).
+        coords, data = _make_problem(rng, nufft_type, n_modes)
+        results = {}
+        for method in ("GM", "GM-sort", "SM"):
+            with Plan(nufft_type, n_modes, eps=1e-3, precision="double",
+                      method=method, backend="reference") as plan:
+                assert plan.method.value == method
+                plan.set_pts(*coords)
+                results[method] = plan.execute(data)
+        assert np.array_equal(results["GM-sort"], results["GM"])
+        assert relative_l2_error(results["SM"], results["GM"]) < 1e-12
+
     def test_batched_equivalence(self, rng):
         coords, data = _make_problem(rng, 1, (16, 16), n_trans=3)
         results = {}
@@ -141,13 +160,9 @@ class TestBackendBehaviour:
         with Plan(1, (16, 16), backend="reference") as plan:
             plan.set_pts(*coords)
             assert plan._stencil is None
-        # cached builds the cache even with the generic switch off
-        with Plan(1, (16, 16), backend="cached", cache_stencils=False) as plan:
-            plan.set_pts(*coords)
-            assert plan._stencil is not None
-        with Plan(1, (16, 16), backend="device_sim", cache_stencils=False) as plan:
-            plan.set_pts(*coords)
-            assert plan._stencil is None  # device_sim honours the switch
+        # the cache is the backend's property, not an option
+        with pytest.raises(TypeError):
+            Plan(1, (16, 16), cache_stencils=False)
 
     def test_device_sim_type3_records_inner_kernels(self, rng):
         m = 300

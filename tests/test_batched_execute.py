@@ -6,11 +6,10 @@ import pytest
 
 from repro import Plan, nudft_type1, nufft2d1, nufft2d2, relative_l2_error
 from repro.core.binsort import bin_sort, make_subproblems, to_grid_coordinates
-from repro.core.interp import interp_cached, interp_gm, interp_gm_sort, interp_subproblems
+from repro.core.interp import interp_cached, interp_gm, interp_subproblems
 from repro.core.spread import (
     spread_cached,
     spread_gm,
-    spread_gm_sort,
     spread_sm,
     spread_subproblems,
 )
@@ -24,7 +23,7 @@ from repro.kernels.es_kernel import (
 from tests.conftest import make_points_2d, make_points_3d
 
 #: Seed-equivalent options: per-transform loop, no cache, exact kernel.
-LEGACY = dict(cache_stencils=False, kernel_eval="exact")
+LEGACY = dict(backend="reference")
 
 
 def _grid_setup(rng, fine_shape, m, eps=1e-6):
@@ -135,14 +134,13 @@ class TestStencilCache:
 class TestBatchedFunctions:
     @pytest.mark.parametrize("fine_shape", [(40, 36), (24, 20, 16)])
     def test_batched_spread_equals_loop(self, rng, fine_shape):
-        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1500)
+        kernel, grid_coords, _ = _grid_setup(rng, fine_shape, 1500)
         block = rng.standard_normal((4, 1500)) + 1j * rng.standard_normal((4, 1500))
-        batched = spread_gm_sort(fine_shape, grid_coords, block, kernel, sort,
-                                 np.complex128)
+        batched = spread_gm(fine_shape, grid_coords, block, kernel, np.complex128)
         assert batched.shape == (4,) + fine_shape
         for t in range(4):
-            single = spread_gm_sort(fine_shape, grid_coords, block[t], kernel, sort,
-                                    np.complex128)
+            single = spread_gm(fine_shape, grid_coords, block[t], kernel,
+                               np.complex128)
             np.testing.assert_allclose(batched[t], single, rtol=1e-11, atol=1e-11)
 
     def test_batched_sm_spread_equals_loop(self, rng):
@@ -159,13 +157,13 @@ class TestBatchedFunctions:
 
     @pytest.mark.parametrize("fine_shape", [(40, 36), (20, 18, 16)])
     def test_batched_interp_equals_loop(self, rng, fine_shape):
-        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1100)
+        kernel, grid_coords, _ = _grid_setup(rng, fine_shape, 1100)
         grids = (rng.standard_normal((3,) + fine_shape)
                  + 1j * rng.standard_normal((3,) + fine_shape))
-        batched = interp_gm_sort(grids, grid_coords, kernel, sort, np.complex128)
+        batched = interp_gm(grids, grid_coords, kernel, np.complex128)
         assert batched.shape == (3, 1100)
         for t in range(3):
-            single = interp_gm_sort(grids[t], grid_coords, kernel, sort, np.complex128)
+            single = interp_gm(grids[t], grid_coords, kernel, np.complex128)
             np.testing.assert_allclose(batched[t], single, rtol=1e-12, atol=1e-12)
 
 

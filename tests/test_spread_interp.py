@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.binsort import bin_sort, make_subproblems, to_grid_coordinates
-from repro.core.interp import interp_gm, interp_gm_sort, interp_kernel_profiles, interpolate
+from repro.core.interp import interp_gm, interp_kernel_profiles
 from repro.core.options import Precision, SpreadMethod
 from repro.core.spread import (
     compute_kernel_stencil,
-    spread,
     spread_gm,
-    spread_gm_sort,
     spread_kernel_profiles,
     spread_sm,
     spread_sm_kernel_profiles,
@@ -72,21 +70,9 @@ class TestSpreadMethodsAgree:
         kernel = ESKernel.from_tolerance(1e-6)
         grid_coords, sort, c = _setup(rng, fine_shape, 3000, cluster=cluster)
         gm = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
-        gms = spread_gm_sort(fine_shape, grid_coords, c, kernel, sort, np.complex128)
         subs = make_subproblems(sort, 256)
         sm = spread_sm(fine_shape, grid_coords, c, kernel, sort, subs, np.complex128)
-        np.testing.assert_allclose(gms, gm, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(sm, gm, rtol=1e-10, atol=1e-10)
-
-    def test_dispatch_function(self, rng):
-        fine_shape = (48, 48)
-        kernel = ESKernel.from_tolerance(1e-4)
-        grid_coords, sort, c = _setup(rng, fine_shape, 1000)
-        a = spread(fine_shape, grid_coords, c, kernel, "GM")
-        b = spread(fine_shape, grid_coords, c, kernel, "SM", sort=sort)
-        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
-        with pytest.raises(ValueError):
-            spread(fine_shape, grid_coords, c, kernel, "GM-sort")  # missing sort
 
     def test_mass_conservation(self, rng):
         # the grid total equals the direct sum of each point's strength times
@@ -118,24 +104,6 @@ class TestSpreadMethodsAgree:
 # interpolation
 # --------------------------------------------------------------------------- #
 class TestInterp:
-    def test_gm_and_gmsort_identical(self, rng):
-        fine_shape = (64, 48)
-        kernel = ESKernel.from_tolerance(1e-6)
-        grid_coords, sort, _ = _setup(rng, fine_shape, 2500)
-        grid = rng.standard_normal(fine_shape) + 1j * rng.standard_normal(fine_shape)
-        a = interp_gm(grid, grid_coords, kernel, np.complex128)
-        b = interp_gm_sort(grid, grid_coords, kernel, sort, np.complex128)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    def test_sm_request_falls_back_to_gmsort(self, rng):
-        fine_shape = (32, 32)
-        kernel = ESKernel.from_tolerance(1e-4)
-        grid_coords, sort, _ = _setup(rng, fine_shape, 500)
-        grid = rng.standard_normal(fine_shape) + 0j
-        a = interpolate(grid, grid_coords, kernel, "SM", sort)
-        b = interpolate(grid, grid_coords, kernel, "GM-sort", sort)
-        np.testing.assert_allclose(a, b)
-
     def test_spread_interp_adjointness(self, rng):
         # <spread(c), g> == <c, interp(g)> : spreading and interpolation with
         # the same kernel are adjoint linear maps.
