@@ -5,7 +5,11 @@ precomputes the per-point kernel stencils (and, within budget, the CSR sparse
 spread/interp operator), and every stage then processes the whole ``n_trans``
 block in one fused pass -- a sparse mat-mat for spreading, a batched
 multi-axis FFT, broadcast correction factors, and the transposed sparse
-gather for interpolation.
+gather for interpolation.  The operator's rows are in bin-sort order, so
+both sparse passes visit the fine grid in cache order (the host form of
+GM-sort), and the complex block is one interleaved-real operand.  Its
+weights are float64, except for single-precision type-2 plans, which only
+interpolate and use float32.
 
 ``stencil_budget`` bounds memory only, not whether a fast path exists: when
 ``M * w^d`` exceeds it the CSR operator is not built, and spread/interp run

@@ -85,24 +85,37 @@ def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
     """Interpolate via the cached sparse operator (one pass over all transforms).
 
     ``interp_matrix @ grid`` performs the kernel-weighted gather for every
-    transform at once; real and imaginary parts are contracted separately so
-    the real-valued operator is never upcast (and copied) to complex.
-    ``out``, when given, must be a ``(n_trans, M)`` array; the result is
-    written into it and it is returned.
+    transform at once, contracting in the operator's dtype (float32 weights
+    for single-precision type-2 plans).  One transform runs two contiguous
+    matvecs over the real and imaginary parts (scipy's single-vector kernel
+    beats a two-column mat-mat); a batch runs one real mat-mat over the
+    interleaved-real ``(n_fine, 2 n_trans)`` view of the grids.  The values
+    come out in the operator's row order and are scattered back to user
+    order.  ``out``, when given, must be a ``(n_trans, M)`` array; the result
+    is written into it and it is returned.
     """
     if cache is None or cache.interp_matrix is None:
         raise ValueError("interp_cached needs a stencil cache with a sparse operator")
     ndim = len(grid_coords)
     grids, batched = _as_grid_batch(grid, ndim)
-    flat = grids.reshape(grids.shape[0], -1).T  # (n_fine, n_trans)
+    n_trans = grids.shape[0]
+    flat = grids.reshape(n_trans, -1)
     matrix = cache.interp_matrix
-    values = ((matrix @ np.ascontiguousarray(flat.real))
-              + 1j * (matrix @ np.ascontiguousarray(flat.imag))).T
-    if out is not None:
-        out[...] = values
-        return out
-    values = values.astype(dtype, copy=False)
-    return values if batched else values[0]
+    op_real = matrix.dtype
+    op_cplx = np.result_type(op_real, np.complex64)
+    if n_trans == 1:
+        vals = np.empty((1, matrix.shape[0]), op_cplx)
+        vals.real = matrix @ np.ascontiguousarray(flat[0].real, dtype=op_real)
+        vals.imag = matrix @ np.ascontiguousarray(flat[0].imag, dtype=op_real)
+    else:
+        cols = np.ascontiguousarray(flat.T, dtype=op_cplx)  # (n_fine, n_trans)
+        vals = (matrix @ cols.view(op_real)).view(op_cplx).T
+    values = out if out is not None else np.empty((n_trans, matrix.shape[0]), dtype)
+    if cache.row_order is None:
+        values[...] = vals
+    else:
+        values[:, cache.row_order] = vals
+    return values if out is not None or batched else values[0]
 
 
 def _interp_box(cache, sel, lo, shape, box):

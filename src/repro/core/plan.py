@@ -470,7 +470,12 @@ class Plan:
         # points, so they are computed once here and reused by every execute.
         # Rebuilding on each set_pts call is the cache invalidation.  Only the
         # reference backend goes without it (it re-evaluates kernels on the
-        # fly); every other backend's numerics run on it.
+        # fly); every other backend's numerics run on it.  The operator's rows
+        # follow the bin sort (cache-local visits, as GM-sort); its weights
+        # are float32 only for single-precision type 2, whose interpolation
+        # sums w^d terms per output.  Spreading sums every point landing on
+        # a cell; on clustered points float32 accumulation there costs up to
+        # the whole 10*eps accuracy budget, so it stays float64.
         self._stencil = None
         if self.backend.uses_stencil_cache:
             points_digest = None
@@ -487,6 +492,9 @@ class Plan:
                 fuse_budget=self.opts.stencil_budget,
                 store=self.artifact_store,
                 points_digest=points_digest,
+                row_order=self._sort.permutation,
+                dtype=(self.precision.real_dtype if self.nufft_type == 2
+                       else np.float64),
             )
         if self.method is SpreadMethod.SM and self.nufft_type != 2:
             self._subproblems = make_subproblems(self._sort, self.opts.max_subproblem_size)
@@ -944,12 +952,17 @@ class Plan:
             if self.nufft_type == 3:
                 pts += f", targets: {self.n_targets}"
             lines.append(pts)
-            if self._stencil is not None:
-                kind = ("sparse-op" if self._stencil.interp_matrix is not None
-                        else "fused" if self._stencil.is_fused else "per-dim")
+            cache = self._stencil
+            if cache is not None:
+                if cache.interp_matrix is not None:
+                    order = "user" if cache.row_order is None else "bin"
+                    kind = (f"sparse-op {cache.interp_matrix.dtype}, "
+                            f"{order}-ordered")
+                else:
+                    kind = "fused" if cache.is_fused else "per-dim"
                 lines.append(
-                    f"  stencil cache: {kind} ({self._stencil.kernel_eval}), "
-                    f"{self._stencil.nbytes() / 1e6:.1f} MB host"
+                    f"  stencil cache: {kind} ({cache.kernel_eval}), "
+                    f"{cache.nbytes() / 1e6:.1f} MB host"
                 )
         if self._exec_pipeline is not None:
             t = self.timings()

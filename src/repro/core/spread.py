@@ -197,17 +197,24 @@ def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
     """Spread via the cached sparse operator (one pass over all transforms).
 
     Requires a fused :class:`~repro.core.stencil.StencilCache` carrying the
-    CSR interpolation matrix; ``interp_matrix.T`` *is* the spreading operator,
-    so the whole ``(n_trans, M)`` strength block is spread with two real
-    sparse mat-mats (real and imaginary parts share the real-valued kernel
-    weights).  ``out``, when given, must be a ``(n_trans, *fine_shape)``
-    array; the result is written into it and it is returned.
+    CSR interpolation matrix; ``interp_matrix.T`` *is* the spreading operator.
+    The ``(n_trans, M)`` strength block is gathered once into the operator's
+    row order (bin order for plan caches) as an ``(M, n_trans)`` complex
+    array of the operator's precision, and its interleaved-real
+    ``(M, 2 n_trans)`` view is spread with one real sparse mat-mat: real and
+    imaginary parts share the real-valued kernel weights.  ``out``, when
+    given, must be a ``(n_trans, *fine_shape)`` array; the result is written
+    into it and it is returned.
     """
     if cache is None or cache.interp_matrix is None:
         raise ValueError("spread_cached needs a stencil cache with a sparse operator")
     block, batched = _as_strength_batch(strengths)
-    spread_op = cache.interp_matrix.T  # (n_fine, M), CSC view: no copy
-    flat = (spread_op @ block.real.T) + 1j * (spread_op @ block.imag.T)
+    matrix = cache.interp_matrix
+    op_cplx = np.result_type(matrix.dtype, np.complex64)
+    cols = block.T if cache.row_order is None else block.T[cache.row_order]
+    cols = np.ascontiguousarray(cols, dtype=op_cplx)  # (M, n_trans)
+    # matrix.T is a CSC view (no copy); the product is (n_fine, 2 n_trans).
+    flat = (matrix.T @ cols.view(matrix.dtype)).view(op_cplx)
     if out is not None:
         if out.flags.c_contiguous:
             out.reshape(out.shape[0], -1)[...] = flat.T
@@ -216,9 +223,9 @@ def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
             # write -- assign through the destination's own strides instead.
             out[...] = np.ascontiguousarray(flat.T).reshape(out.shape)
         return out
-    grids = np.ascontiguousarray(flat.T).reshape((block.shape[0],) + tuple(fine_shape))
-    result = grids.astype(dtype, copy=False)
-    return result if batched else result[0]
+    grids = np.ascontiguousarray(flat.T, dtype=dtype)
+    grids = grids.reshape((block.shape[0],) + tuple(fine_shape))
+    return grids if batched else grids[0]
 
 
 # --------------------------------------------------------------------------- #

@@ -18,16 +18,28 @@ and, when the footprint ``M * w^d`` fits a memory budget, the *fused* form:
 * ``flat_idx`` -- the ``w^d`` wrapped flat fine-grid indices per point,
 * ``weights``  -- the ``w^d`` tensor-product kernel values per point,
 * ``interp_matrix`` -- the same data as a ``(M, n_fine)`` CSR sparse matrix
-  (when scipy is available), whose transpose is the spreading operator.
+  with int32 indices (when scipy is available), whose transpose is the
+  spreading operator.
+
+The operator is built in *bin order* when the caller passes the plan's
+:attr:`~repro.core.binsort.BinSort.permutation` as ``row_order``: row ``r``
+holds point ``row_order[r]``, so consecutive rows touch neighbouring
+fine-grid cells -- the host form of the paper's GM-sort locality
+(Sec. III-A).  The grid coordinates are permuted once, before kernel
+evaluation, so every per-point array of such a cache is in that order.  The
+operator's dtype is the caller's choice: interpolation sums only ``w^d``
+terms per output and tolerates float32 weights, while spreading accumulates
+every point landing on a cell and keeps float64.
 
 ``execute`` then never calls ``evaluate_offsets`` again: spreading becomes a
-single sparse mat-mat over the ``(n_trans, M)`` strength block and
-interpolation the transposed gather.  Over budget, only the per-dimension
-arrays exist and the cached backend runs the per-subproblem padded-box GEMM
-engine (:func:`repro.core.spread.spread_subproblems`) on them, so the budget
-bounds the cache's memory, not which execute path is fast.  The cache is tied
-to one point set; ``Plan.set_pts`` rebuilds it, which is exactly the
-invalidation the paper's interface implies.
+single sparse mat-mat over the interleaved-real ``(M, 2 n_trans)`` strength
+block and interpolation the transposed gather.  Over budget, only the
+per-dimension arrays exist (in user order) and the cached backend runs the
+per-subproblem padded-box GEMM engine
+(:func:`repro.core.spread.spread_subproblems`) on them, so the budget bounds
+the cache's memory, not which execute path is fast.  The cache is tied to one
+point set; ``Plan.set_pts`` rebuilds it, which is exactly the invalidation
+the paper's interface implies.
 """
 
 from __future__ import annotations
@@ -47,9 +59,9 @@ __all__ = [
 
 #: Maximum number of fused stencil entries (``M * w^d``) materialized by the
 #: cache; above this only the per-dimension arrays are kept.  32M entries is
-#: ~256 MB of float64 weights plus ~128 MB of int32 column indices in the CSR
-#: operator (scipy keeps its own int32 copy; the int64 flat indices, another
-#: ~256 MB, live only while the matrix is assembled).
+#: ~128 MB of int32 column indices plus ~256 MB of float64 weights (~128 MB
+#: for a float32 operator) in the CSR operator; the float64 tensor-product
+#: weights, another ~256 MB, live only while a float32 operator is assembled.
 DEFAULT_FUSE_BUDGET = 1 << 25
 
 try:  # pragma: no cover - exercised indirectly everywhere scipy exists
@@ -83,10 +95,17 @@ class StencilCache:
         Fused tensor-product kernel values (same lifetime as ``flat_idx``;
         when the sparse operator exists it owns this data as ``matrix.data``).
     interp_matrix : scipy.sparse.csr_matrix (M, prod(fine_shape)) or None
-        Row ``j`` holds point ``j``'s stencil; ``interp_matrix @ grid`` is
-        interpolation and ``interp_matrix.T @ c`` is spreading.
+        Row ``r`` holds the stencil of point ``row_order[r]`` (point ``r``
+        without a row order); ``interp_matrix @ grid`` is interpolation and
+        ``interp_matrix.T @ c`` is spreading, both in row order.  Its dtype
+        is the operator dtype the cache was built with.
     kernel_eval : str
         Which kernel evaluation built the values ("horner" or "exact").
+    row_order : ndarray (M,) or None
+        The point order of every per-point array above (a bin-sort
+        permutation), or ``None`` for user order.  Only caches carrying the
+        sparse operator are reordered; the over-budget engine indexes the
+        per-dimension arrays by user point number.
     """
 
     fine_shape: tuple
@@ -98,6 +117,7 @@ class StencilCache:
     weights: np.ndarray = None
     interp_matrix: object = None
     kernel_eval: str = "horner"
+    row_order: np.ndarray = None
 
     @property
     def n_points(self):
@@ -122,6 +142,8 @@ class StencilCache:
             total += (self.interp_matrix.data.nbytes
                       + self.interp_matrix.indices.nbytes
                       + self.interp_matrix.indptr.nbytes)
+        if self.row_order is not None:
+            total += self.row_order.nbytes
         return int(total)
 
 
@@ -157,7 +179,8 @@ def _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape):
 
 def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
                         fuse_budget=DEFAULT_FUSE_BUDGET, build_matrix=True,
-                        store=None, points_digest=None):
+                        store=None, points_digest=None, row_order=None,
+                        dtype=np.float64):
     """Build the stencil cache for one point set.
 
     Parameters
@@ -179,23 +202,30 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
         given, the cache is served from the store when present and persisted
         (single-flight) when built, keyed by the digest plus every kernel
         parameter above -- a restarted process with the same points skips the
-        whole build.
+        whole build.  A served cache carries the row order it was built with.
     points_digest : str, optional
         Content digest of the nonuniform points (e.g.
         :meth:`repro.service.TransformRequest.points_key`).  Required for
         store participation: the grid coordinates themselves are too large to
         key on.
+    row_order : ndarray of int, optional
+        Point order of the operator's rows, normally the plan's bin-sort
+        permutation; ignored (user order kept) when no operator is built.
+    dtype : numpy dtype
+        Dtype of the operator's weights: float64 for any cache that spreads,
+        the plan's real dtype is enough for interpolation-only use.
     """
     if kernel_eval not in ("horner", "exact"):
         raise ValueError(f"kernel_eval must be 'horner' or 'exact', got {kernel_eval!r}")
+    dtype = np.dtype(dtype)
     if store is not None and points_digest is not None:
         key = stencil_cache_key(points_digest, fine_shape, kernel, kernel_eval,
-                                fuse_budget, build_matrix)
+                                fuse_budget, build_matrix, dtype)
         arrays = store.get_or_build(
             "stencil", key,
             lambda: stencil_cache_arrays(_build_stencil_cache(
                 grid_coords, fine_shape, kernel, kernel_eval, fuse_budget,
-                build_matrix, store=store,
+                build_matrix, row_order, dtype, store=store,
             )),
         )
         cache = stencil_cache_from_arrays(arrays)
@@ -204,20 +234,31 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
         # Deserialization impossible (e.g. a matrix-bearing entry without
         # scipy): fall through to a fresh build.
     return _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
-                                fuse_budget, build_matrix, store=store)
+                                fuse_budget, build_matrix, row_order, dtype,
+                                store=store)
 
 
 def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
-                         fuse_budget, build_matrix, store=None):
+                         fuse_budget, build_matrix, row_order, dtype,
+                         store=None):
     """The actual build (no store lookup); see :func:`build_stencil_cache`."""
     ndim = len(fine_shape)
     w = kernel.width
     use_horner = kernel_eval == "horner" and hasattr(kernel, "evaluate_offsets_horner")
     offsets = np.arange(w, dtype=np.int64)
+    m = np.shape(grid_coords[0])[0]
+    fused = m * (w ** ndim) <= fuse_budget
+    with_matrix = fused and build_matrix and _sparse is not None
+    if not with_matrix:
+        row_order = None
 
     i0_list, idx_list, vals_list = [], [], []
     for d in range(ndim):
         g = np.asarray(grid_coords[d], dtype=np.float64)
+        if row_order is not None:
+            # Permute the M coordinates once: every (M, w) array below then
+            # comes out in row order without a gather of its own.
+            g = g[row_order]
         i0 = np.ceil(g - 0.5 * w).astype(np.int64)
         frac = g - i0
         if use_horner:
@@ -228,23 +269,25 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
         idx_list.append(np.mod(i0[:, None] + offsets[None, :], fine_shape[d]))
         vals_list.append(vals)
 
-    m = i0_list[0].shape[0]
     flat_idx = weights = matrix = None
-    if m * (w ** ndim) <= fuse_budget:
+    if with_matrix:
+        n_fine = int(np.prod(fine_shape))
+        k = w ** ndim
+        # Build scipy's index arrays directly in the narrowest dtype it would
+        # pick, so it keeps them instead of converting a full int64 copy.
+        index_dtype = np.int32 if max(n_fine, m * k) < 2 ** 31 else np.int64
+        # The operator supersedes the fused arrays (every cached spread and
+        # interp goes through it), so they are not kept beside it.
+        columns, entries = _tensor_stencil(
+            [a.astype(index_dtype) for a in idx_list], vals_list, fine_shape)
+        indptr = np.arange(0, (m + 1) * k, k, dtype=index_dtype)
+        matrix = _sparse.csr_matrix(
+            (entries.reshape(-1).astype(dtype, copy=False), columns.reshape(-1),
+             indptr),
+            shape=(m, n_fine),
+        )
+    elif fused:
         flat_idx, weights = _tensor_stencil(idx_list, vals_list, fine_shape)
-        if build_matrix and _sparse is not None:
-            n_fine = int(np.prod(fine_shape))
-            k = flat_idx.shape[1]
-            indptr = np.arange(0, (m + 1) * k, k, dtype=np.int64)
-            matrix = _sparse.csr_matrix(
-                (weights.reshape(-1), flat_idx.reshape(-1), indptr),
-                shape=(m, n_fine),
-            )
-            # The operator supersedes the fused arrays: every cached
-            # spread/interp goes through the matrix, and dropping the raw
-            # references frees the large int64 index array (scipy keeps its
-            # own, typically int32, copy) instead of holding it dead.
-            flat_idx = weights = None
     return StencilCache(
         fine_shape=tuple(int(n) for n in fine_shape),
         width=int(w),
@@ -255,6 +298,7 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
         weights=weights,
         interp_matrix=matrix,
         kernel_eval="horner" if use_horner else "exact",
+        row_order=row_order,
     )
 
 
@@ -262,18 +306,21 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
 # artifact-store serialization
 # --------------------------------------------------------------------------- #
 def stencil_cache_key(points_digest, fine_shape, kernel, kernel_eval,
-                      fuse_budget, build_matrix):
+                      fuse_budget, build_matrix, dtype=np.float64):
     """The artifact key one stencil cache is stored under.
 
-    Every input that shapes the cache's contents participates: the points
+    Every input that shapes the cache's values participates: the points
     digest, the fine-grid geometry, the kernel parameters, the evaluation
-    mode and the fusion knobs.  Two processes computing the same key are
-    guaranteed bit-identical caches (the build is deterministic).
+    mode, the fusion knobs and the operator dtype.  Two processes computing
+    the same key get operators with the same entries (the build is
+    deterministic).  The row order is not keyed -- it depends on the bin
+    shape -- but travels with the entry, which is all the operators need.
     """
     grid = "x".join(str(int(n)) for n in fine_shape)
     return (f"pts={points_digest}.grid={grid}.w={int(kernel.width)}"
             f".beta={float(kernel.beta):.9g}.eval={kernel_eval}"
-            f".budget={int(fuse_budget)}.matrix={int(bool(build_matrix))}")
+            f".budget={int(fuse_budget)}.matrix={int(bool(build_matrix))}"
+            f".op={np.dtype(dtype).name}")
 
 
 def stencil_cache_arrays(cache):
@@ -299,6 +346,8 @@ def stencil_cache_arrays(cache):
         arrays["csr_data"] = cache.interp_matrix.data
         arrays["csr_indices"] = cache.interp_matrix.indices
         arrays["csr_indptr"] = cache.interp_matrix.indptr
+    if cache.row_order is not None:
+        arrays["row_order"] = cache.row_order
     return arrays
 
 
@@ -331,4 +380,5 @@ def stencil_cache_from_arrays(arrays):
         weights=arrays.get("weights"),
         interp_matrix=matrix,
         kernel_eval=str(arrays["kernel_eval"]),
+        row_order=arrays.get("row_order"),
     )

@@ -338,24 +338,34 @@ class TestProducerRoundtrips:
         coords = (x, y)
         digest = "deadbeef" * 4
 
-        cold = ArtifactStore(root=tmp_path)
-        c1 = build_stencil_cache(coords, fine, kernel, store=cold,
-                                 points_digest=digest)
-        assert cold.stats.by_kind["stencil"]["builds"] == 1
+        # User order with a float64 operator, then a bin-ordered float32
+        # one: the row order and the operator dtype travel with the entry.
+        order = rng.permutation(300)
+        for row_order, dtype in ((None, np.float64), (order, np.float32)):
+            cold = ArtifactStore(root=tmp_path)
+            c1 = build_stencil_cache(coords, fine, kernel, store=cold,
+                                     points_digest=digest, row_order=row_order,
+                                     dtype=dtype)
+            assert cold.stats.by_kind["stencil"]["builds"] == 1
 
-        warm = ArtifactStore(root=tmp_path)
-        c2 = build_stencil_cache(coords, fine, kernel, store=warm,
-                                 points_digest=digest)
-        assert warm.stats.by_kind["stencil"]["builds"] == 0
-        assert warm.stats.by_kind["stencil"]["hits"] >= 1
-        for d in range(2):
-            assert np.array_equal(c1.i0[d], c2.i0[d])
-            assert np.array_equal(c1.idx[d], c2.idx[d])
-            assert np.array_equal(c1.vals[d], c2.vals[d])
-        if c1.interp_matrix is not None:
-            assert np.array_equal(c1.interp_matrix.data, c2.interp_matrix.data)
-            assert np.array_equal(c1.interp_matrix.indices,
-                                  c2.interp_matrix.indices)
+            warm = ArtifactStore(root=tmp_path)
+            c2 = build_stencil_cache(coords, fine, kernel, store=warm,
+                                     points_digest=digest, dtype=dtype)
+            assert warm.stats.by_kind["stencil"]["builds"] == 0
+            assert warm.stats.by_kind["stencil"]["hits"] >= 1
+            for d in range(2):
+                assert np.array_equal(c1.i0[d], c2.i0[d])
+                assert np.array_equal(c1.idx[d], c2.idx[d])
+                assert np.array_equal(c1.vals[d], c2.vals[d])
+            if row_order is None:
+                assert c2.row_order is None
+            else:
+                assert np.array_equal(c2.row_order, row_order)
+            if c1.interp_matrix is not None:
+                assert c2.interp_matrix.dtype == dtype
+                assert np.array_equal(c1.interp_matrix.data, c2.interp_matrix.data)
+                assert np.array_equal(c1.interp_matrix.indices,
+                                      c2.interp_matrix.indices)
 
     def test_stencil_key_covers_inputs(self):
         kernel = ESKernel.from_tolerance(1e-6)
@@ -368,6 +378,8 @@ class TestProducerRoundtrips:
                                  True) != base
         assert stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20,
                                  False) != base
+        assert stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20,
+                                 True, np.float32) != base
 
     def test_psf_kernel_roundtrip(self, tmp_path, rng):
         x, y, _ = make_points_2d(rng, m=250)

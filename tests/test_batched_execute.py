@@ -4,8 +4,16 @@
 import numpy as np
 import pytest
 
-from repro import Plan, nudft_type1, nufft2d1, nufft2d2, relative_l2_error
+from repro import (
+    Plan,
+    nudft_type1,
+    nudft_type3,
+    nufft2d1,
+    nufft2d2,
+    relative_l2_error,
+)
 from repro.core.binsort import bin_sort, make_subproblems, to_grid_coordinates
+from repro.core.exact import mode_indices
 from repro.core.interp import interp_cached, interp_gm, interp_subproblems
 from repro.core.spread import (
     spread_cached,
@@ -13,6 +21,7 @@ from repro.core.spread import (
     spread_sm,
     spread_subproblems,
 )
+from repro.core.options import default_bin_shape
 from repro.core.stencil import build_stencil_cache
 from repro.kernels import ESKernel
 from repro.kernels.es_kernel import (
@@ -30,8 +39,7 @@ def _grid_setup(rng, fine_shape, m, eps=1e-6):
     kernel = ESKernel.from_tolerance(eps)
     coords = [rng.uniform(-np.pi, np.pi, m) for _ in fine_shape]
     grid_coords = [to_grid_coordinates(c, n) for c, n in zip(coords, fine_shape)]
-    bins = (32, 32) if len(fine_shape) == 2 else (16, 16, 2)
-    sort = bin_sort(grid_coords, fine_shape, bins)
+    sort = bin_sort(grid_coords, fine_shape, default_bin_shape(len(fine_shape)))
     return kernel, grid_coords, sort
 
 
@@ -126,6 +134,130 @@ class TestStencilCache:
         base = spread_sm(fine_shape, grid_coords, c, kernel, sort, subs, np.complex128)
         cached = spread_subproblems(fine_shape, c, cache, sort, subs, np.complex128)
         np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
+
+
+# --------------------------------------------------------------------------- #
+# bin-ordered operator (function level)
+# --------------------------------------------------------------------------- #
+FINE_SHAPES = [(96,), (40, 36), (24, 20, 16)]
+
+
+class TestBinOrderedOperator:
+    @pytest.mark.parametrize("fine_shape", FINE_SHAPES)
+    def test_rows_are_a_permutation_of_user_order(self, rng, fine_shape):
+        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1500)
+        plain = build_stencil_cache(grid_coords, fine_shape, kernel)
+        ordered = build_stencil_cache(grid_coords, fine_shape, kernel,
+                                      row_order=sort.permutation)
+        assert plain.row_order is None
+        np.testing.assert_array_equal(ordered.row_order, sort.permutation)
+        back = ordered.interp_matrix[np.argsort(ordered.row_order)]
+        ref = plain.interp_matrix
+        assert back.dtype == ref.dtype == np.float64
+        assert ordered.interp_matrix.indices.dtype == np.int32
+        assert ordered.interp_matrix.indptr.dtype == np.int32
+        # Bit-identical: the kernel is evaluated pointwise, so permuting the
+        # coordinates first only moves rows.
+        assert np.array_equal(back.indptr, ref.indptr)
+        assert np.array_equal(back.indices, ref.indices)
+        assert np.array_equal(back.data.view(np.uint64), ref.data.view(np.uint64))
+        for d in range(len(fine_shape)):
+            assert np.array_equal(ordered.vals[d], plain.vals[d][sort.permutation])
+
+    def test_over_budget_cache_keeps_user_order(self, rng):
+        fine_shape = (40, 36)
+        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 500)
+        lean = build_stencil_cache(grid_coords, fine_shape, kernel, fuse_budget=0,
+                                   row_order=sort.permutation)
+        plain = build_stencil_cache(grid_coords, fine_shape, kernel, fuse_budget=0)
+        assert lean.row_order is None and lean.interp_matrix is None
+        for d in range(2):
+            assert np.array_equal(lean.vals[d], plain.vals[d])
+
+    @pytest.mark.parametrize("fine_shape", FINE_SHAPES)
+    @pytest.mark.parametrize("n_trans", [1, 3])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_cached_operators_match_direct_sums(self, rng, fine_shape, n_trans,
+                                                precision):
+        m = 1500
+        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, m)
+        real, cplx, tol = ((np.float32, np.complex64, 1e-6) if precision == "single"
+                           else (np.float64, np.complex128, 1e-12))
+        # As a plan builds them: float64 to spread, the precision's dtype to
+        # interpolate.
+        spread_cache = build_stencil_cache(grid_coords, fine_shape, kernel,
+                                           kernel_eval="exact",
+                                           row_order=sort.permutation)
+        interp_cache = build_stencil_cache(grid_coords, fine_shape, kernel,
+                                           kernel_eval="exact",
+                                           row_order=sort.permutation, dtype=real)
+        assert interp_cache.interp_matrix.dtype == real
+        c = (rng.standard_normal((n_trans, m))
+             + 1j * rng.standard_normal((n_trans, m))).astype(cplx)
+        grid = (rng.standard_normal((n_trans,) + fine_shape)
+                + 1j * rng.standard_normal((n_trans,) + fine_shape)).astype(cplx)
+
+        spread = spread_cached(fine_shape, c, spread_cache, cplx)
+        assert spread.dtype == cplx and spread.shape == (n_trans,) + fine_shape
+        base = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
+        assert relative_l2_error(spread, base) < tol
+        values = interp_cached(grid, grid_coords, interp_cache, cplx)
+        assert values.dtype == cplx and values.shape == (n_trans, m)
+        base = interp_gm(grid, grid_coords, kernel, np.complex128)
+        assert relative_l2_error(values, base) < tol
+
+        # Strided destinations receive exactly the allocated results.
+        wide = fine_shape[:-1] + (2 * fine_shape[-1],)
+        out = np.zeros((n_trans,) + wide, cplx)[..., ::2]
+        assert spread_cached(fine_shape, c, spread_cache, cplx, out=out) is out
+        assert np.array_equal(out, spread)
+        out = np.zeros((2 * n_trans, m), cplx)[::2]
+        assert interp_cached(grid, grid_coords, interp_cache, cplx, out=out) is out
+        assert np.array_equal(out, values)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_plan_operator_dtype_follows_type(self, rng, precision):
+        x, y, _ = make_points_2d(rng, m=2000)
+        single = precision == "single"
+        with Plan(1, (32, 32), precision=precision) as p1, \
+                Plan(2, (32, 32), precision=precision) as p2, \
+                Plan(3, 2, precision=precision) as p3:
+            p1.set_pts(x, y)
+            p2.set_pts(x, y)
+            p3.set_pts(x, y, s=3 * x, t=3 * y)
+            # Spreading accumulates in float64; interpolation-only type 2
+            # runs in the precision's dtype (type 3 spreads, and its inner
+            # type-2 plan interpolates).
+            assert p1._stencil.interp_matrix.dtype == np.float64
+            assert p3._stencil.interp_matrix.dtype == np.float64
+            expected = np.float32 if single else np.float64
+            assert p2._stencil.interp_matrix.dtype == expected
+            assert p3._t3_inner._stencil.interp_matrix.dtype == expected
+            for plan in (p1, p2, p3):
+                np.testing.assert_array_equal(plan._stencil.row_order,
+                                              plan._sort.permutation)
+            assert f"sparse-op {np.dtype(expected)}, bin-ordered" in p2.report()
+
+
+class TestClusteredSinglePrecision:
+    @pytest.mark.parametrize("n_modes", [(64,), (32, 32)])
+    def test_type1_clustered_within_ten_eps(self, n_modes):
+        # 2^16 points inside an 8-fine-cell box with positive-mean strengths:
+        # every touched cell sums ~10^4-10^5 terms of one sign, the case that
+        # puts float32 accumulation (a float32 spread operator) at ~2e-5.
+        rng = np.random.default_rng(20)
+        eps, m = 1e-6, 1 << 16
+        with Plan(1, n_modes, eps=eps, precision="single") as plan:
+            width = [8 * 2 * np.pi / n for n in plan.fine_shape]
+            pts = [rng.uniform(0.3, 0.3 + w, m) for w in width]
+            c = (rng.uniform(0.5, 1.5, m)
+                 + 1j * rng.uniform(0.5, 1.5, m)).astype(np.complex64)
+            plan.set_pts(*pts)
+            out = plan.execute(c)
+        sel = tuple(rng.integers(0, n, 64) for n in n_modes)
+        modes = [mode_indices(n)[k].astype(np.float64) for n, k in zip(n_modes, sel)]
+        exact = nudft_type3(pts, c.astype(np.complex128), modes, isign=-1)
+        assert relative_l2_error(out[sel], exact) <= 10 * eps
 
 
 # --------------------------------------------------------------------------- #
