@@ -83,21 +83,50 @@ def compute_bin_index(grid_coords, fine_shape, bin_shape):
     bins_per_dim : tuple of int
         Number of bins along each dimension (``ceil(n_i / m_i)``).
     """
+    cells = _cell_indices(grid_coords, fine_shape, bin_shape)
+    return _bin_index_from_cells(cells, fine_shape, bin_shape)
+
+
+def _cell_indices(grid_coords, fine_shape, bin_shape):
+    """Per-dimension fine-grid cell of each point (int64, clipped)."""
     ndim = len(fine_shape)
     if len(grid_coords) != ndim or len(bin_shape) != ndim:
         raise ValueError("grid_coords, fine_shape and bin_shape must have equal length")
-    bins_per_dim = tuple(-(-int(n) // int(m)) for n, m in zip(fine_shape, bin_shape))
+    cells = []
+    for g, n in zip(grid_coords, fine_shape):
+        cell = np.floor(g).astype(np.int64)
+        np.clip(cell, 0, n - 1, out=cell)
+        cells.append(cell)
+    return cells
 
+
+def _bin_index_from_cells(cells, fine_shape, bin_shape):
+    """:func:`compute_bin_index` from per-dimension cells (:func:`_cell_indices`)."""
+    bins_per_dim = tuple(-(-int(n) // int(m)) for n, m in zip(fine_shape, bin_shape))
     bin_index = None
     stride = 1
-    for d in range(ndim):
-        cell = np.floor(grid_coords[d]).astype(np.int64)
-        np.clip(cell, 0, fine_shape[d] - 1, out=cell)
-        b = cell // int(bin_shape[d])
-        contribution = b * stride
+    for d, cell in enumerate(cells):
+        contribution = (cell // int(bin_shape[d])) * stride
         bin_index = contribution if bin_index is None else bin_index + contribution
         stride *= bins_per_dim[d]
     return bin_index, bins_per_dim
+
+
+def _count_distinct_cells(cells, fine_shape):
+    """Number of distinct fine-grid cells among the points.
+
+    Sorts the flat cell index and counts value changes: the same count
+    ``np.unique`` gives, without its hash table.
+    """
+    cell_index = cells[0].copy()
+    stride = int(fine_shape[0])
+    for d in range(1, len(cells)):
+        cell_index += cells[d] * stride
+        stride *= int(fine_shape[d])
+    if cell_index.shape[0] == 0:
+        return 0
+    cell_index.sort()
+    return 1 + int(np.count_nonzero(cell_index[1:] != cell_index[:-1]))
 
 
 @dataclass
@@ -124,7 +153,9 @@ class BinSort:
         Fine-grid dimensions.
     n_occupied_cells : int
         Number of distinct fine-grid cells containing at least one point
-        (input to the atomic-contention model).
+        (input to the atomic-contention model).  Counted by sorting the flat
+        cell index and counting value changes, which equals the
+        ``np.unique`` count of that index in O(M) memory.
     """
 
     permutation: np.ndarray
@@ -163,7 +194,8 @@ def bin_sort(grid_coords, fine_shape, bin_shape):
     construction in the paper.
     """
     m = grid_coords[0].shape[0]
-    bin_index, bins_per_dim = compute_bin_index(grid_coords, fine_shape, bin_shape)
+    cells = _cell_indices(grid_coords, fine_shape, bin_shape)
+    bin_index, bins_per_dim = _bin_index_from_cells(cells, fine_shape, bin_shape)
     n_bins = int(np.prod(bins_per_dim))
     bin_counts = np.bincount(bin_index, minlength=n_bins).astype(np.int64)
     bin_starts = np.zeros(n_bins, dtype=np.int64)
@@ -173,15 +205,7 @@ def bin_sort(grid_coords, fine_shape, bin_shape):
     if permutation.shape[0] != m:
         raise AssertionError("permutation length mismatch")
 
-    # Distinct fine-grid cells containing points (for the contention model).
-    cell_index = None
-    stride = 1
-    for d in range(len(fine_shape)):
-        cell = np.floor(grid_coords[d]).astype(np.int64)
-        np.clip(cell, 0, fine_shape[d] - 1, out=cell)
-        cell_index = cell * stride if cell_index is None else cell_index + cell * stride
-        stride *= int(fine_shape[d])
-    n_occupied_cells = int(np.unique(cell_index).shape[0])
+    n_occupied_cells = _count_distinct_cells(cells, fine_shape)
 
     return BinSort(
         permutation=permutation,

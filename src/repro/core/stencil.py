@@ -147,21 +147,22 @@ class StencilCache:
         return int(total)
 
 
-def _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape):
+def _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape, dtype=np.float64):
     """Fuse per-dimension stencils into flat indices and product weights.
 
     Returns ``(flat_idx, weights)`` of shape ``(M, w^d)`` where ``flat_idx``
     indexes the flattened fine grid and ``weights`` holds the separable kernel
-    tensor product.
+    tensor product, multiplied in float64 (x factor first) and rounded once
+    to ``dtype``.
     """
     ndim = len(fine_shape)
     m = idx_per_dim[0].shape[0]
     if ndim == 1:
-        return idx_per_dim[0].reshape(m, -1), vals_per_dim[0].reshape(m, -1)
+        return (idx_per_dim[0].reshape(m, -1),
+                vals_per_dim[0].reshape(m, -1).astype(dtype, copy=False))
     if ndim == 2:
         n2 = fine_shape[1]
         flat_idx = idx_per_dim[0][:, :, None] * n2 + idx_per_dim[1][:, None, :]
-        weights = vals_per_dim[0][:, :, None] * vals_per_dim[1][:, None, :]
     else:
         n2, n3 = fine_shape[1], fine_shape[2]
         flat_idx = (
@@ -169,12 +170,27 @@ def _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape):
             + idx_per_dim[1][:, None, :, None] * n3
             + idx_per_dim[2][:, None, None, :]
         )
-        weights = (
-            vals_per_dim[0][:, :, None, None]
-            * vals_per_dim[1][:, None, :, None]
-            * vals_per_dim[2][:, None, None, :]
-        )
-    return flat_idx.reshape(m, -1), weights.reshape(m, -1)
+    weights = vals_per_dim[0]
+    for d in range(1, ndim):
+        weights = _row_outer(weights, vals_per_dim[d],
+                             dtype if d == ndim - 1 else np.float64)
+    return flat_idx.reshape(m, -1), weights
+
+
+def _row_outer(a, b, dtype):
+    """Row-wise outer product ``out[m, i*w + j] = a[m, i] * b[m, j]``.
+
+    Both forms are faster than a broadcast multiply over a length-``w``
+    inner axis: ``einsum`` for float64, and for a narrower ``dtype`` a
+    float64 multiply that rounds straight into the output (no float64
+    temporary), which is bit-identical to rounding the float64 product.
+    """
+    m = a.shape[0]
+    if np.dtype(dtype) == np.float64:
+        return np.einsum("mi,mj->mij", a, b).reshape(m, -1)
+    out = np.empty((m, a.shape[1], b.shape[1]), dtype=dtype)
+    np.multiply(a[:, :, None], b[:, None, :], out=out, casting="unsafe")
+    return out.reshape(m, -1)
 
 
 def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
@@ -266,7 +282,7 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
         else:
             vals = kernel.evaluate_offsets(frac)
         i0_list.append(i0)
-        idx_list.append(np.mod(i0[:, None] + offsets[None, :], fine_shape[d]))
+        idx_list.append(_wrapped_nodes(i0, offsets, fine_shape[d]))
         vals_list.append(vals)
 
     flat_idx = weights = matrix = None
@@ -279,11 +295,11 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
         # The operator supersedes the fused arrays (every cached spread and
         # interp goes through it), so they are not kept beside it.
         columns, entries = _tensor_stencil(
-            [a.astype(index_dtype) for a in idx_list], vals_list, fine_shape)
+            [a.astype(index_dtype) for a in idx_list], vals_list, fine_shape,
+            dtype)
         indptr = np.arange(0, (m + 1) * k, k, dtype=index_dtype)
         matrix = _sparse.csr_matrix(
-            (entries.reshape(-1).astype(dtype, copy=False), columns.reshape(-1),
-             indptr),
+            (entries.reshape(-1), columns.reshape(-1), indptr),
             shape=(m, n_fine),
         )
     elif fused:
@@ -300,6 +316,20 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
         kernel_eval="horner" if use_horner else "exact",
         row_order=row_order,
     )
+
+
+def _wrapped_nodes(i0, offsets, n_fine):
+    """``np.mod(i0[:, None] + offsets, n_fine)`` without an int64 division.
+
+    ``i0 mod n`` is in ``[0, n)``, so adding an offset below ``w`` overshoots
+    the period by less than ``w``: one conditional subtraction wraps it when
+    ``w <= n + 1`` (every plan's fine grid has ``n >= 2w``), more only on
+    grids narrower than the kernel.
+    """
+    nodes = np.mod(i0, n_fine)[:, None] + offsets
+    for _ in range((offsets.shape[0] - 2) // n_fine + 1):
+        np.subtract(nodes, n_fine, out=nodes, where=nodes >= n_fine)
+    return nodes
 
 
 # --------------------------------------------------------------------------- #

@@ -305,12 +305,15 @@ class ESKernel:
         """
         frac = np.asarray(frac, dtype=np.float64)
         coeffs = horner_coefficients(self.width, self.beta, store=store)
-        u = (2.0 * frac - (self.width - 1.0))[:, None]
-        out = np.broadcast_to(coeffs[:, -1], (frac.shape[0], self.width)).copy()
+        u = 2.0 * frac - (self.width - 1.0)
+        # Points-fastest (w, M) layout: every Horner step streams a
+        # contiguous length-M row instead of a length-w inner axis.
+        out = np.empty((self.width, frac.shape[0]))
+        out[:] = coeffs[:, -1:]
         for k in range(coeffs.shape[1] - 2, -1, -1):
             out *= u
-            out += coeffs[:, k]
-        return out
+            out += coeffs[:, k:k + 1]
+        return np.ascontiguousarray(out.T)
 
     # ------------------------------------------------------------------ #
     # analytic helpers

@@ -4,7 +4,11 @@ The pool is the serving analogue of the paper's plan/setpts/execute
 amortization: a plan whose geometry key matches an incoming request skips
 planning entirely (kernel fit, fine-grid geometry, correction factors,
 device allocations, cuFFT plan), and if it also still holds the request's
-exact point set the bin sort + stencil cache are skipped too.
+exact point set the bin sort + stencil cache are skipped too.  When no idle
+plan holds the request's points, the *least* recently released plan of the
+geometry bucket is the one re-pointed: a point set that recurs keeps the plan
+it was last served on warm, while fresh point sets recycle the stale plans of
+sets that have not come back.
 
 Entries are keyed by ``(plan_key, n_trans, device_id)`` -- a plan is bound to
 its device's memory pool, and ``n_trans`` is baked into a plan's batched
@@ -84,11 +88,15 @@ class PlanPool:
         When ``points_key`` is given and the bucket holds a plan already
         carrying that exact point set, that plan is preferred (its bin sort
         and stencil cache are still valid, so ``set_pts`` can be skipped).
+        Otherwise the coldest plan -- the least recently released -- is
+        returned: the caller re-points it, and the plan whose point set was
+        served longest ago is the one least likely to be asked for again, so
+        recurring point sets keep their warm plans.
         """
         bucket = self._idle.get(key)
         if not bucket:
             return None
-        index = len(bucket) - 1
+        index = 0
         if points_key is not None:
             for i, candidate in enumerate(bucket):
                 if candidate.points_key == points_key:

@@ -913,6 +913,9 @@ class TransformService:
         # pooled plan (otherwise a single plan ping-pongs between point
         # sets, re-sorting forever).  External lessees (allow_repoint)
         # re-point the plan regardless, so for them any geometry hit wins.
+        # The pool hands out the bucket's coldest plan (least recently
+        # released): its point set is the one least likely to recur, so
+        # re-pointing it keeps recurring sets' plans warm.
         if allow_repoint or 0 < self.pool.max_plans <= self.pool.n_idle:
             for device in ranked:
                 entry = self.pool.lease((plan_key, n_trans, device.device_id))

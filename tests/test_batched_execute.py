@@ -22,7 +22,7 @@ from repro.core.spread import (
     spread_subproblems,
 )
 from repro.core.options import default_bin_shape
-from repro.core.stencil import build_stencil_cache
+from repro.core.stencil import DEFAULT_FUSE_BUDGET, build_stencil_cache
 from repro.kernels import ESKernel
 from repro.kernels.es_kernel import (
     MAX_KERNEL_WIDTH,
@@ -142,6 +142,42 @@ class TestStencilCache:
 FINE_SHAPES = [(96,), (40, 36), (24, 20, 16)]
 
 
+def _reference_point_state(grid_coords, fine_shape, kernel, row_order):
+    """Per-dimension ``(i0, idx, vals)`` as a points-slow broadcasting build.
+
+    Horner evaluation over an ``(M, w)`` array with a length-``w`` inner
+    axis and an int64 ``np.mod`` wrap: the reference the set-up path must
+    reproduce bit for bit.
+    """
+    w = kernel.width
+    coeffs = horner_coefficients(w, kernel.beta)
+    offsets = np.arange(w, dtype=np.int64)
+    state = []
+    for d, n in enumerate(fine_shape):
+        g = grid_coords[d] if row_order is None else grid_coords[d][row_order]
+        i0 = np.ceil(g - 0.5 * w).astype(np.int64)
+        u = (2.0 * (g - i0) - (w - 1.0))[:, None]
+        vals = np.broadcast_to(coeffs[:, -1], (g.shape[0], w)).copy()
+        for k in range(coeffs.shape[1] - 2, -1, -1):
+            vals *= u
+            vals += coeffs[:, k]
+        state.append((i0, np.mod(i0[:, None] + offsets[None, :], n), vals))
+    return state
+
+
+def _reference_operator(state, fine_shape, dtype):
+    """CSR ``(data, indices, indptr)`` by broadcast tensor products."""
+    m = state[0][0].shape[0]
+    flat, weights = state[0][1], state[0][2]
+    for d in range(1, len(fine_shape)):
+        flat = (flat[:, :, None] * fine_shape[d]
+                + state[d][1][:, None, :]).reshape(m, -1)
+        weights = (weights[:, :, None] * state[d][2][:, None, :]).reshape(m, -1)
+    k = flat.shape[1]
+    return (weights.reshape(-1).astype(dtype), flat.reshape(-1),
+            np.arange(0, (m + 1) * k, k))
+
+
 class TestBinOrderedOperator:
     @pytest.mark.parametrize("fine_shape", FINE_SHAPES)
     def test_rows_are_a_permutation_of_user_order(self, rng, fine_shape):
@@ -163,6 +199,39 @@ class TestBinOrderedOperator:
         assert np.array_equal(back.data.view(np.uint64), ref.data.view(np.uint64))
         for d in range(len(fine_shape)):
             assert np.array_equal(ordered.vals[d], plain.vals[d][sort.permutation])
+
+    @pytest.mark.parametrize("fine_shape", FINE_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_budget", [True, False])
+    def test_build_matches_broadcast_reference(self, rng, fine_shape, dtype,
+                                               in_budget):
+        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1500)
+        frac = grid_coords[0] - np.ceil(grid_coords[0] - 0.5 * kernel.width)
+        horner = kernel.evaluate_offsets_horner(frac)
+        assert horner.shape == (1500, kernel.width) and horner.dtype == np.float64
+        assert horner.flags.c_contiguous
+        cache = build_stencil_cache(grid_coords, fine_shape, kernel,
+                                    fuse_budget=DEFAULT_FUSE_BUDGET if in_budget else 0,
+                                    row_order=sort.permutation, dtype=dtype)
+        row_order = sort.permutation if in_budget else None
+        state = _reference_point_state(grid_coords, fine_shape, kernel, row_order)
+        if in_budget:
+            np.testing.assert_array_equal(cache.row_order, sort.permutation)
+        else:
+            assert cache.row_order is None and cache.interp_matrix is None
+        for d, (i0, idx, vals) in enumerate(state):
+            assert np.array_equal(cache.i0[d], i0)
+            assert np.array_equal(cache.idx[d], idx)
+            assert cache.vals[d].dtype == np.float64
+            assert np.array_equal(cache.vals[d].view(np.uint64), vals.view(np.uint64))
+        if in_budget:
+            data, indices, indptr = _reference_operator(state, fine_shape, dtype)
+            op = cache.interp_matrix
+            assert op.data.dtype == np.dtype(dtype)
+            assert np.array_equal(op.data, data)
+            assert np.array_equal(np.signbit(op.data), np.signbit(data))
+            assert np.array_equal(op.indices, indices)
+            assert np.array_equal(op.indptr, indptr)
 
     def test_over_budget_cache_keeps_user_order(self, rng):
         fine_shape = (40, 36)

@@ -134,8 +134,34 @@ class TestBinSort:
             assert np.all(np.diff(sel) > 0)  # original order preserved
 
     def test_occupied_cells_counted(self, rng):
-        sort, _ = _random_sort(rng, m=500)
-        assert 1 <= sort.n_occupied_cells <= 500
+        # The count equals np.unique over the flat cell index, in 1D/2D/3D.
+        # Fine sizes 80 and 40 make the coordinate just below 0 round to
+        # g == n, which to_grid_coordinates wraps to cell 0.
+        below_zero = np.nextafter(2 * np.pi, 0) - 2 * np.pi
+        ends = [-np.pi, np.pi, np.nextafter(np.pi, 0), below_zero]
+        for fine, bins in [((80,), (32,)), ((80, 96), (32, 32)),
+                           ((40, 32, 16), (16, 16, 2))]:
+            h = 2 * np.pi / min(fine)
+            inputs = {
+                "rand": [rng.uniform(-np.pi, np.pi, 500) for _ in fine],
+                "cluster": [rng.uniform(0, 4 * h, 500) for _ in fine],
+                "single": [rng.uniform(-np.pi, np.pi, 1) for _ in fine],
+                "period_ends": [rng.choice(ends, 500) for _ in fine],
+            }
+            cases = {name: [to_grid_coordinates(c, n) for c, n in zip(coords, fine)]
+                     for name, coords in inputs.items()}
+            wrapped = inputs["period_ends"][0] == below_zero
+            assert wrapped.any()
+            assert np.all(cases["period_ends"][0][wrapped] == 0.0)
+            cases["cell_edges"] = [rng.integers(0, n, 500).astype(np.float64)
+                                   for n in fine]
+            for name, grid_coords in cases.items():
+                sort = bin_sort(grid_coords, fine, bins)
+                cells = [np.clip(np.floor(g).astype(np.int64), 0, n - 1)
+                         for g, n in zip(grid_coords, fine)]
+                flat = np.ravel_multi_index(cells[::-1], fine[::-1])
+                assert sort.n_occupied_cells == np.unique(flat).shape[0], (fine, name)
+                assert 1 <= sort.n_occupied_cells <= grid_coords[0].shape[0]
 
     def test_cluster_occupies_few_cells(self, rng):
         fine = (256, 256)

@@ -132,6 +132,19 @@ class TestPlanPool:
         assert plan._destroyed
         assert pool.lease(("k",)) is None
 
+    def test_repoint_lease_takes_least_recently_released(self):
+        pool = PlanPool(max_plans=4)
+        entries = [pool.make_entry(Plan(1, (16,)), ("k",)) for _ in range(3)]
+        for i, e in enumerate(entries):
+            e.points_key = f"pts{i}"
+            pool.release(e)
+        # A matching point set wins; otherwise the coldest plan is re-pointed.
+        assert pool.lease(("k",), points_key="pts1") is entries[1]
+        assert pool.lease(("k",), points_key="other") is entries[0]
+        pool.release(entries[1])
+        assert pool.lease(("k",)) is entries[2]
+        pool.clear()
+
 
 # --------------------------------------------------------------------------- #
 # the service
@@ -313,6 +326,26 @@ class TestTransformService:
             _submit_mix(service, (x, y), [np.ones(m, complex)])
             r = service.flush()[0]
             assert r.plan_reused and r.setpts_reused
+
+    def test_recurring_point_sets_keep_their_plans_at_capacity(self, rng):
+        """At pool capacity, fresh point sets re-point stale plans only."""
+        m = 200
+        recurring = [rng.uniform(-np.pi, np.pi, (2, m)) for _ in range(2)]
+        with TransformService(n_devices=1, max_plans=6) as service:
+            for round_ in range(6):
+                fresh = [rng.uniform(-np.pi, np.pi, (2, m)) for _ in range(2)]
+                for x, y in recurring + fresh:
+                    service.submit(nufft_type=1, n_modes=(16, 16),
+                                   data=np.ones(m, complex), x=x, y=y)
+                results = service.flush()
+                assert all(r.error is None for r in results)
+                if round_ >= 1:  # after the round that first meets each set
+                    assert all(r.plan_reused and r.setpts_reused
+                               for r in results[:2])
+                assert not any(r.setpts_reused for r in results[2:])
+            # The pool filled after two rounds; the rest ran at capacity.
+            assert service.pool.n_idle == service.pool.max_plans
+            assert service.stats.plans_created == 6
 
 
 class TestFusedLaunchModel:
