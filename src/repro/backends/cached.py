@@ -2,24 +2,23 @@
 
 The fast path introduced by the batched execution engine: ``set_pts``
 precomputes the per-point kernel stencils (and, within budget, the CSR sparse
-spread/interp operator), and every stage then processes the whole ``n_trans``
-block in one fused pass -- a sparse mat-mat for spreading, a batched
-multi-axis FFT, broadcast correction factors, and the transposed sparse
-gather for interpolation.  The operator's rows are in bin-sort order, so
-both sparse passes visit the fine grid in cache order (the host form of
-GM-sort), and the complex block is one interleaved-real operand.  Its
-weights are float64, except for single-precision type-2 plans, which only
-interpolate and use float32.
+spread/interp operator) once per point set, and every stage then processes
+the whole ``n_trans`` block in one fused pass -- a sparse mat-mat for
+spreading, a batched multi-axis FFT, broadcast correction factors, and the
+transposed sparse gather for interpolation.  The stencils are in bin-sort
+order, so both sparse passes visit the fine grid in cache order (the host
+form of GM-sort), and the complex block is one interleaved-real operand.
+The operator's weights are float64, except for single-precision type-2
+plans, which only interpolate and use float32.
 
-``stencil_budget`` bounds memory only, not whether a fast path exists: when
-``M * w^d`` exceeds it the CSR operator is not built, and spread/interp run
-the per-subproblem padded-box GEMM engine
+``stencil_budget`` bounds memory only: over it the CSR operator is not built,
+and spread/interp run the per-subproblem padded-box GEMM engine
 (:func:`~repro.core.spread.spread_subproblems`,
-:func:`~repro.core.interp.interp_subproblems`) over the per-dimension
-stencils instead, whose working set is one subproblem's box.  GM, GM-sort
-and SM compute the same sums, so every method runs the same engine here; the
-method only changes the simulated cost profiles.  No simulated-GPU profiles
-are recorded; this backend is pure throughput.
+:func:`~repro.core.interp.interp_subproblems`) over contiguous slices of the
+per-dimension stencils instead, whose working set is one subproblem's box.
+GM, GM-sort and SM compute the same sums, so every method runs the same
+engine here; the method only changes the simulated cost profiles.  No
+simulated-GPU profiles are recorded; this backend is pure throughput.
 """
 
 from __future__ import annotations
@@ -40,11 +39,12 @@ class CachedBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def spread(self, plan, strengths, pipeline, out=None):
         cache = plan._stencil
+        order = plan._points.sort.permutation
         cplx = plan.precision.complex_dtype
-        if cache.interp_matrix is not None:
-            return spread_cached(plan.fine_shape, strengths, cache, cplx, out=out)
-        return spread_subproblems(plan.fine_shape, strengths, cache, plan._sort,
-                                  plan._ensure_subproblems(), cplx, out=out)
+        if cache.is_fused:
+            return spread_cached(plan.fine_shape, strengths, cache, order, cplx, out=out)
+        return spread_subproblems(plan.fine_shape, strengths, cache, order,
+                                  plan._subproblems, cplx, out=out)
 
     def fft_forward(self, plan, fine, pipeline):
         # Native precision end to end: pocketfft transforms complex64 blocks
@@ -68,8 +68,8 @@ class CachedBackend(ExecutionBackend):
 
     def interp(self, plan, fine, pipeline, out=None):
         cache = plan._stencil
+        order = plan._points.sort.permutation
         cplx = plan.precision.complex_dtype
-        if cache.interp_matrix is not None:
-            return interp_cached(fine, plan._grid_coords, cache, cplx, out=out)
-        return interp_subproblems(fine, cache, plan._sort,
-                                  plan._ensure_subproblems(), cplx, out=out)
+        if cache.is_fused:
+            return interp_cached(fine, cache, order, cplx, out=out)
+        return interp_subproblems(fine, cache, order, plan._subproblems, cplx, out=out)

@@ -82,11 +82,9 @@ class DeviceSimBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def spread(self, plan, strengths, pipeline, out=None):
         fine = get_backend("cached").spread(plan, strengths, pipeline, out=out)
-        subproblems = (
-            plan._ensure_subproblems() if plan.method is SpreadMethod.SM else None
-        )
+        subproblems = plan._subproblems if plan.method is SpreadMethod.SM else None
         profiles = spread_stage_profiles(
-            plan.method, plan._sort, plan.kernel, plan.precision,
+            plan.method, plan._points.sort, plan.kernel, plan.precision,
             plan.opts.threads_per_block, plan.device.spec, subproblems=subproblems,
         )
         self._add_fused_stage(plan, pipeline, profiles, strengths.shape[0])
@@ -121,7 +119,7 @@ class DeviceSimBackend(ExecutionBackend):
     def interp(self, plan, fine, pipeline, out=None):
         result = get_backend("cached").interp(plan, fine, pipeline, out=out)
         profiles = interp_stage_profiles(
-            plan.interp_method, plan._sort, plan.kernel, plan.precision,
+            plan.interp_method, plan._points.sort, plan.kernel, plan.precision,
             plan.opts.threads_per_block, plan.device.spec,
         )
         self._add_fused_stage(plan, pipeline, profiles, fine.shape[0])

@@ -34,11 +34,11 @@ class ReferenceBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def _spread_one(self, plan, strengths):
         cplx = plan.precision.complex_dtype
+        points = plan._points
         if plan.method is SpreadMethod.SM:
-            return spread_sm(plan.fine_shape, plan._grid_coords, strengths,
-                             plan.kernel, plan._sort, plan._ensure_subproblems(),
-                             cplx)
-        return spread_gm(plan.fine_shape, plan._grid_coords, strengths,
+            return spread_sm(plan.fine_shape, points.grid_coords, strengths,
+                             plan.kernel, points.sort, plan._subproblems, cplx)
+        return spread_gm(plan.fine_shape, points.grid_coords, strengths,
                          plan.kernel, cplx)
 
     @staticmethod
@@ -92,7 +92,7 @@ class ReferenceBackend(ExecutionBackend):
     def interp(self, plan, fine, pipeline, out=None):
         cplx = plan.precision.complex_dtype
         return self._stacked(
-            [interp_gm(fine[t], plan._grid_coords, plan.kernel, cplx)
+            [interp_gm(fine[t], plan._points.grid_coords, plan.kernel, cplx)
              for t in range(fine.shape[0])],
             out,
         )

@@ -193,17 +193,15 @@ def bin_sort(grid_coords, fine_shape, bin_shape):
     "record the bin index of each point, read out this list in bin ordering"
     construction in the paper.
     """
-    m = grid_coords[0].shape[0]
     cells = _cell_indices(grid_coords, fine_shape, bin_shape)
     bin_index, bins_per_dim = _bin_index_from_cells(cells, fine_shape, bin_shape)
     n_bins = int(np.prod(bins_per_dim))
     bin_counts = np.bincount(bin_index, minlength=n_bins).astype(np.int64)
     bin_starts = np.zeros(n_bins, dtype=np.int64)
     np.cumsum(bin_counts[:-1], out=bin_starts[1:])
-    # Stable counting sort: argsort with a stable algorithm on the bin index.
-    permutation = np.argsort(bin_index, kind="stable").astype(np.int64)
-    if permutation.shape[0] != m:
-        raise AssertionError("permutation length mismatch")
+    # Stable sort on the narrowest unsigned key: O(M) radix up to 65536 bins.
+    key = bin_index.astype(np.min_scalar_type(n_bins - 1))
+    permutation = np.argsort(key, kind="stable").astype(np.int64, copy=False)
 
     n_occupied_cells = _count_distinct_cells(cells, fine_shape)
 
@@ -316,26 +314,15 @@ def make_subproblems(sort, max_subproblem_size):
     """Split every nonempty bin's point segment into blocks of <= Msub points."""
     if max_subproblem_size <= 0:
         raise ValueError("max_subproblem_size must be positive")
-    bin_ids = []
-    offsets = []
-    counts = []
-    nonempty = np.nonzero(sort.bin_counts)[0]
-    for b in nonempty:
-        count = int(sort.bin_counts[b])
-        start = int(sort.bin_starts[b])
-        n_blocks = -(-count // max_subproblem_size)
-        for j in range(n_blocks):
-            block_start = start + j * max_subproblem_size
-            block_count = min(max_subproblem_size, start + count - block_start)
-            bin_ids.append(int(b))
-            offsets.append(block_start)
-            counts.append(block_count)
-    return Subproblems(
-        bin_ids=np.asarray(bin_ids, dtype=np.int64),
-        offsets=np.asarray(offsets, dtype=np.int64),
-        counts=np.asarray(counts, dtype=np.int64),
-        max_size=int(max_subproblem_size),
-    )
+    msub = int(max_subproblem_size)
+    n_blocks = -(-sort.bin_counts // msub)
+    bin_ids = np.repeat(np.arange(n_blocks.shape[0], dtype=np.int64), n_blocks)
+    # Block j of a bin starts j * Msub points into the bin's segment.
+    first = np.repeat(np.cumsum(n_blocks) - n_blocks, n_blocks)
+    starts = sort.bin_starts[bin_ids]
+    offsets = starts + (np.arange(bin_ids.shape[0]) - first) * msub
+    counts = np.minimum(msub, starts + sort.bin_counts[bin_ids] - offsets)
+    return Subproblems(bin_ids=bin_ids, offsets=offsets, counts=counts, max_size=msub)
 
 
 def binsort_kernel_profiles(n_points, n_bins, ndim, real_itemsize, threads_per_block=128):

@@ -9,9 +9,10 @@ are no write conflicts (each thread owns its output ``c_j``), which is why the
 paper applies no SM-style scheme to interpolation.  On the host the visiting
 order changes nothing at all -- each ``c_j`` is one sum -- so ``interp_gm``
 is the only direct gather, for every method.  The over-budget engine
-(:func:`interp_subproblems`) reuses the SM subproblem split for every
-method: a subproblem's footprint box is gathered once and contracted with
-one GEMM, the transpose of :func:`~repro.core.spread.spread_subproblems`.
+(:func:`interp_subproblems`) reuses the SM subproblem split of the
+bin-ordered stencil cache for every method: a subproblem's footprint box is
+gathered once and contracted with one GEMM, the transpose of
+:func:`~repro.core.spread.spread_subproblems`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .spread import (
     _box_factors,
     _box_runs,
     _chunk_stencil,
+    _l2,
     _point_chunk,
     _point_read_bytes,
     _spread_flops,
@@ -81,7 +83,7 @@ def _interp_points(grids, grid_coords, kernel, out):
     return out
 
 
-def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
+def interp_cached(grid, cache, order, dtype=np.complex64, out=None):
     """Interpolate via the cached sparse operator (one pass over all transforms).
 
     ``interp_matrix @ grid`` performs the kernel-weighted gather for every
@@ -90,14 +92,14 @@ def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
     matvecs over the real and imaginary parts (scipy's single-vector kernel
     beats a two-column mat-mat); a batch runs one real mat-mat over the
     interleaved-real ``(n_fine, 2 n_trans)`` view of the grids.  The values
-    come out in the operator's row order and are scattered back to user
-    order.  ``out``, when given, must be a ``(n_trans, M)`` array; the result
-    is written into it and it is returned.
+    come out in the operator's row order ``order`` (the bin-sort
+    permutation) and are scattered back to user order.  ``out``, when given,
+    must be a ``(n_trans, M)`` array; the result is written into it and it
+    is returned.
     """
     if cache is None or cache.interp_matrix is None:
         raise ValueError("interp_cached needs a stencil cache with a sparse operator")
-    ndim = len(grid_coords)
-    grids, batched = _as_grid_batch(grid, ndim)
+    grids, batched = _as_grid_batch(grid, cache.ndim)
     n_trans = grids.shape[0]
     flat = grids.reshape(n_trans, -1)
     matrix = cache.interp_matrix
@@ -111,10 +113,7 @@ def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
         cols = np.ascontiguousarray(flat.T, dtype=op_cplx)  # (n_fine, n_trans)
         vals = (matrix @ cols.view(op_real)).view(op_cplx).T
     values = out if out is not None else np.empty((n_trans, matrix.shape[0]), dtype)
-    if cache.row_order is None:
-        values[...] = vals
-    else:
-        values[:, cache.row_order] = vals
+    values[:, order] = vals
     return values if out is not None or batched else values[0]
 
 
@@ -127,18 +126,20 @@ def _interp_box(cache, sel, lo, shape, box):
                          cache.vals[0][sel])
     factors = _box_factors(cache, sel, lo, shape)
     rows = factors[0] @ box.reshape(shape[0], -1).view(np.float64)
-    rows = rows.view(np.complex128).reshape(sel.shape[0], box.shape[1], -1)
+    rows = rows.view(np.complex128).reshape(factors[0].shape[0], box.shape[1], -1)
     return np.einsum("ptk,pk->tp", rows, _tail_factor(factors))
 
 
-def interp_subproblems(grid, cache, sort, subproblems, dtype=np.complex64, out=None):
+def interp_subproblems(grid, cache, order, subproblems, dtype=np.complex64,
+                       out=None):
     """Interpolate via per-subproblem padded-box gathers and one GEMM each.
 
     The transpose of :func:`~repro.core.spread.spread_subproblems`, for
-    stencil caches too large to fuse: for each SM subproblem the wrapped
-    footprint box ``(L_0, n_trans, L_1, ...)`` is gathered from the fine
-    grid, contracted along axis 0 against the dense factor ``K_0`` with one
-    real GEMM (the complex box viewed as interleaved reals), and the
+    stencil caches too large to fuse: for each SM subproblem (a contiguous
+    run of the bin-ordered cache; ``order`` maps it back to user points) the
+    wrapped footprint box ``(L_0, n_trans, L_1, ...)`` is gathered from the
+    fine grid, contracted along axis 0 against the dense factor ``K_0`` with
+    one real GEMM (the complex box viewed as interleaved reals), and the
     remaining axes are contracted per point against
     ``K_1 ⊗ ... ⊗ K_{d-1}``.  Every method (GM, GM-sort, SM) runs this one
     engine; the method changes only the simulated cost profiles.
@@ -150,12 +151,12 @@ def interp_subproblems(grid, cache, sort, subproblems, dtype=np.complex64, out=N
     n_trans = grids.shape[0]
     fine_shape = grids.shape[1:]
     values = out if out is not None else np.empty((n_trans, cache.n_points), dtype)
-    for sel, lo, shape in _subproblem_boxes(cache, sort, subproblems):
+    for sel, lo, shape in _subproblem_boxes(cache, subproblems):
         box = np.empty((shape[0], n_trans) + tuple(shape[1:]), dtype=np.complex128)
         box_t = box.swapaxes(0, 1)
         for src, dst in _box_runs(lo, shape, fine_shape):
             box_t[(slice(None),) + src] = grids[(slice(None),) + dst]
-        values[:, sel] = _interp_box(cache, sel, lo, shape, box)
+        values[:, order[sel]] = _interp_box(cache, sel, lo, shape, box)
     if out is not None:
         return out
     return values if batched else values[0]
@@ -191,13 +192,7 @@ def interp_kernel_profiles(method, sort, kernel, precision, threads_per_block=12
     cplx_sz = precision.complex_itemsize
     grid_bytes = float(np.prod(sort.fine_shape)) * cplx_sz
     reads = float(m) * (w ** ndim)
-
-    if spec is not None:
-        l2 = spec.l2_cache_bytes
-    else:
-        from ..gpu.device import V100_SPEC
-
-        l2 = V100_SPEC.l2_cache_bytes
+    l2 = _l2(spec)
 
     if method is SpreadMethod.GM:
         profile = KernelProfile(

@@ -27,8 +27,6 @@ timings -- "exec", "total" and "total+mem" -- are derived by the cost model.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from ..backends import get_backend
@@ -41,12 +39,12 @@ from ..metrics import allocs
 from .binsort import (
     bin_sort,
     binsort_kernel_profiles,
-    make_subproblems,
     to_grid_coordinates,
 )
 from .deconvolve import CorrectionFactors
 from .gridsize import fine_grid_shape, next_smooth_even_235
 from .options import Opts, SpreadMethod
+from .points import shared_point_state
 from .stencil import build_stencil_cache
 from .workspace import Workspace
 
@@ -227,10 +225,8 @@ class Plan:
         # explicit "no points" state (``_points_ready`` False), where execute
         # refuses to run rather than operating on half-initialized geometry.
         self._points_ready = False
-        self._grid_coords = None
-        self._sort = None
-        self._subproblems = None
-        self._stencil = None
+        self._points = None
+        self._points_built = False
         self._point_buffers = []
         self.n_points = 0
         self.n_targets = 0
@@ -266,13 +262,6 @@ class Plan:
         self._buffers.append(buf)
         return buf
 
-    def _point_alloc(self, shape, dtype, label):
-        """Allocate a buffer tied to the current point set (freed by set_pts)."""
-        buf = self.device.memory.allocate(shape, dtype, label=label)
-        self._point_buffers.append(buf)
-        self._setup_pipeline.add_transfer("alloc", buf.nbytes, label)
-        return buf
-
     def _require_live(self):
         if self._destroyed:
             raise RuntimeError("plan has been destroyed")
@@ -282,11 +271,22 @@ class Plan:
         if not self._points_ready:
             raise RuntimeError("set_pts must be called before execute")
 
-    def _ensure_subproblems(self):
-        """SM subproblem decomposition, built on first use after set_pts."""
-        if self._subproblems is None:
-            self._subproblems = make_subproblems(self._sort, self.opts.max_subproblem_size)
-        return self._subproblems
+    @property
+    def _operator_dtype(self):
+        """Stencil operator weights: float32 only for single-precision type 2
+        (see :meth:`_acquire_points`)."""
+        return np.dtype(self.precision.real_dtype if self.nufft_type == 2
+                        else np.float64)
+
+    @property
+    def _stencil(self):
+        """The points' stencil cache in this plan's operator dtype, or None."""
+        return self._points and self._points.stencil(self._operator_dtype)
+
+    @property
+    def _subproblems(self):
+        """The points' SM subproblem split at this plan's ``Msub``."""
+        return self._points.subproblems(self.opts.max_subproblem_size)
 
     def _apply_sm_fallback(self):
         """Paper Remark 2: SM falls back to GM-sort when the padded bin
@@ -385,11 +385,12 @@ class Plan:
         grid_coords = [
             to_grid_coordinates(coords[d], self.fine_shape[d]) for d in range(self.ndim)
         ]
+        points, built = self._acquire_points(grid_coords, self.fine_shape)
         self._release_point_state()
         self.n_points = coords[0].shape[0]
-        self._grid_coords = grid_coords
+        self._points, self._points_built = points, built
         self._upload_points(coords)
-        self._build_point_precompute()
+        self._record_setup_profiles()
         self._points_ready = True
         return self
 
@@ -436,10 +437,7 @@ class Plan:
             buf.free()
         self._point_buffers = []
         self._setup_pipeline = PipelineProfile()
-        self._grid_coords = None
-        self._sort = None
-        self._subproblems = None
-        self._stencil = None
+        self._points = None
         if self._t3_inner is not None:
             self._t3_inner.destroy()
             self._t3_inner = None
@@ -453,71 +451,58 @@ class Plan:
             self._point_buffers.append(buf)
             self._setup_pipeline.add_transfer("h2d", buf.nbytes, f"points dim{d}")
 
-    def _build_point_precompute(self):
-        """Bin sort, stencil cache, subproblem split and setup profiles.
+    def _acquire_points(self, grid_coords, fine_shape):
+        """The points' shared :class:`~repro.core.points.PointState`, with
+        every product this plan needs built unless a plan on equal points
+        built it, and whether this call built any.
 
-        Shared by every transform type; for type 3 it runs on the rescaled
-        source coordinates over the derived fine grid.
+        The bin sort always; the stencil cache on every backend but
+        ``reference`` (which evaluates kernels on the fly); the subproblem
+        split when an execute reads it.  The operator's weights are float32
+        only for single-precision type 2, whose interpolation sums w^d terms
+        per output.  Spreading sums every point landing on a cell; on
+        clustered points float32 accumulation there costs up to the whole
+        10*eps accuracy budget, so it stays float64.
         """
-        m = self.n_points
-        # Bin statistics are always computed (the contention model needs them);
-        # the sort kernels are only charged when the method uses the sort.
-        self._sort = bin_sort(self._grid_coords, self.fine_shape, self.bin_shape)
-        self._subproblems = None
-
-        # Plan-level stencil cache: the per-point kernel stencils (and, within
-        # budget, the fused sparse spread/interp operator) depend only on the
-        # points, so they are computed once here and reused by every execute.
-        # Rebuilding on each set_pts call is the cache invalidation.  Only the
-        # reference backend goes without it (it re-evaluates kernels on the
-        # fly); every other backend's numerics run on it.  The operator's rows
-        # follow the bin sort (cache-local visits, as GM-sort); its weights
-        # are float32 only for single-precision type 2, whose interpolation
-        # sums w^d terms per output.  Spreading sums every point landing on
-        # a cell; on clustered points float32 accumulation there costs up to
-        # the whole 10*eps accuracy budget, so it stays float64.
-        self._stencil = None
+        opts, bin_shape, dtype = self.opts, self.bin_shape, self._operator_dtype
+        points = shared_point_state(grid_coords, fine_shape, self.kernel,
+                                    opts.kernel_eval, bin_shape,
+                                    opts.stencil_budget)
+        build_stencil = None
         if self.backend.uses_stencil_cache:
-            points_digest = None
-            if self.artifact_store is not None:
-                h = hashlib.blake2b(digest_size=16)
-                for c in self._grid_coords:
-                    h.update(np.ascontiguousarray(c).tobytes())
-                points_digest = h.hexdigest()
-            self._stencil = build_stencil_cache(
-                self._grid_coords,
-                self.fine_shape,
-                self.kernel,
-                kernel_eval=self.opts.kernel_eval,
-                fuse_budget=self.opts.stencil_budget,
-                store=self.artifact_store,
-                points_digest=points_digest,
-                row_order=self._sort.permutation,
-                dtype=(self.precision.real_dtype if self.nufft_type == 2
-                       else np.float64),
-            )
-        if self.method is SpreadMethod.SM and self.nufft_type != 2:
-            self._subproblems = make_subproblems(self._sort, self.opts.max_subproblem_size)
+            def build_stencil(sort):
+                return build_stencil_cache(
+                    points.grid_coords, sort, self.kernel,
+                    kernel_eval=opts.kernel_eval, fuse_budget=opts.stencil_budget,
+                    store=self.artifact_store, points_digest=points.digest,
+                    dtype=dtype)
+        built = points.prepare(
+            lambda: bin_sort(points.grid_coords, fine_shape, bin_shape),
+            build_stencil, dtype)
+        stencil = points.stencil(dtype)
+        if ((self.method is SpreadMethod.SM and self.nufft_type != 2)
+                or (stencil is not None and not stencil.is_fused)):
+            points.subproblems(opts.max_subproblem_size)
+        return points, built
 
+    def _record_setup_profiles(self):
+        """This plan's simulated sort buffers and setup kernels, charged per
+        plan whether its point state was built or shared.  Bin statistics
+        are always computed (the contention model needs them); the sort
+        kernels are only charged when the method uses the sort."""
+        m, sort = self.n_points, self._points.sort
         if self.method in (SpreadMethod.GM_SORT, SpreadMethod.SM) and self.opts.sort_points:
-            idx_bytes = 4 * m
             for label in ("bin index", "sort permutation"):
-                buf = self.device.memory.from_host(
-                    np.zeros(m, dtype=np.int32), label=label
-                )
+                buf = self.device.memory.from_host(np.zeros(m, dtype=np.int32), label=label)
                 self._point_buffers.append(buf)
-                self._setup_pipeline.add_transfer("alloc", idx_bytes, label)
-            for prof in binsort_kernel_profiles(
-                m,
-                self._sort.n_bins,
-                self.ndim,
-                self.precision.real_itemsize,
-                self.opts.threads_per_block,
-            ):
+                self._setup_pipeline.add_transfer("alloc", 4 * m, label)
+            for prof in binsort_kernel_profiles(m, sort.n_bins, self.ndim,
+                                                self.precision.real_itemsize,
+                                                self.opts.threads_per_block):
                 self._setup_pipeline.add_kernel(prof, phase="setup")
-            if self._subproblems is not None:
+            if self.method is SpreadMethod.SM and self.nufft_type != 2:
                 self._setup_pipeline.add_kernel(
-                    _subproblem_setup_profile(self._sort, self._subproblems),
+                    _subproblem_setup_profile(sort, self._subproblems),
                     phase="setup",
                 )
 
@@ -602,12 +587,13 @@ class Plan:
         # statistics stand in for them).  Before _release_point_state, like
         # every other fallible step.
         self._maybe_tune(fine_shape, m)
+        points, built = self._acquire_points(grid_coords, fine_shape)
 
         self._release_point_state()
         self.n_points = m
         self.n_targets = nk
         self.fine_shape = fine_shape
-        self._grid_coords = grid_coords
+        self._points, self._points_built = points, built
         self._t3_prephase = np.exp(self.isign * 1j * prephase)
         self._t3_postphase = factors * np.exp(self.isign * 1j * postphase)
 
@@ -631,7 +617,7 @@ class Plan:
             self._point_buffers.append(buf)
             self._setup_pipeline.add_transfer("h2d", buf.nbytes, label)
 
-        self._build_point_precompute()
+        self._record_setup_profiles()
 
         # Inner type-2 plan over the same backend: evaluates the fine grid's
         # trigonometric sum at the rescaled target frequencies, with the
@@ -947,23 +933,22 @@ class Plan:
                 f"modelled {self.tuned.objective} vs paper defaults "
                 f"({self.tuned.n_candidates} candidates)"
             )
-        if self._grid_coords is not None:
+        if self._points is not None:
             pts = f"  points: {self.n_points}"
             if self.nufft_type == 3:
                 pts += f", targets: {self.n_targets}"
             lines.append(pts)
+            lines.append(
+                f"  point state: {self._points.digest[:12]}, "
+                f"{'built' if self._points_built else 'shared'}, "
+                f"{self._points.nbytes() / 1e6:.1f} MB host"
+            )
             cache = self._stencil
             if cache is not None:
-                if cache.interp_matrix is not None:
-                    order = "user" if cache.row_order is None else "bin"
-                    kind = (f"sparse-op {cache.interp_matrix.dtype}, "
-                            f"{order}-ordered")
-                else:
-                    kind = "fused" if cache.is_fused else "per-dim"
-                lines.append(
-                    f"  stencil cache: {kind} ({cache.kernel_eval}), "
-                    f"{cache.nbytes() / 1e6:.1f} MB host"
-                )
+                kind = (f"sparse-op {cache.interp_matrix.dtype}" if cache.is_fused
+                        else "per-dim")
+                lines.append(f"  stencil cache: {kind}, bin-ordered ({cache.kernel_eval}), "
+                             f"{cache.nbytes() / 1e6:.1f} MB host")
         if self._exec_pipeline is not None:
             t = self.timings()
             lines.append(
@@ -993,7 +978,7 @@ class Plan:
         self.workspace.release_all()
         self._point_buffers = []
         self._buffers = []
-        self._stencil = None
+        self._points = None
         self._destroyed = True
 
     def __enter__(self):

@@ -25,7 +25,8 @@ exact direct sum is one function, ``spread_gm`` (user order, chunked
 ``bincount``, kernel evaluated on the fly).  ``spread_sm`` keeps the padded-bin
 accumulation of paper Fig. 1 as a fidelity check of that scheme; the
 ``reference`` backend runs it for SM plans.  The fast engines also run one
-sum for every method: ``spread_cached`` (the fused sparse operator) within
+sum for every method, over the bin-ordered stencil cache (``order`` is its
+bin-sort permutation): ``spread_cached`` (the fused sparse operator) within
 the stencil budget, and ``spread_subproblems`` (per-subproblem padded-box
 GEMMs, the host form of the SM scheme) over it.
 """
@@ -48,7 +49,7 @@ from ..gpu.transactions import (
 )
 from .binsort import make_subproblems
 from .options import SpreadMethod
-from .stencil import _tensor_stencil
+from .stencil import _tensor_columns, _tensor_weights
 
 __all__ = [
     "compute_kernel_stencil",
@@ -124,7 +125,7 @@ def _chunk_stencil(grid_coords, fine_shape, kernel, sel):
         i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
         idx_per_dim.append(np.mod(i0[:, None] + offsets[None, :], fine_shape[d]))
         vals_per_dim.append(vals)
-    return _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape)
+    return _tensor_columns(idx_per_dim, fine_shape), _tensor_weights(vals_per_dim)
 
 
 def _accumulate_chunk(grid_real, grid_imag, flat_idx, weights_real, weights_imag):
@@ -193,13 +194,13 @@ def _spread_points(grids, grid_coords, strengths, kernel):
 # --------------------------------------------------------------------------- #
 # numeric spreaders
 # --------------------------------------------------------------------------- #
-def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
+def spread_cached(fine_shape, strengths, cache, order, dtype=np.complex64, out=None):
     """Spread via the cached sparse operator (one pass over all transforms).
 
     Requires a fused :class:`~repro.core.stencil.StencilCache` carrying the
     CSR interpolation matrix; ``interp_matrix.T`` *is* the spreading operator.
-    The ``(n_trans, M)`` strength block is gathered once into the operator's
-    row order (bin order for plan caches) as an ``(M, n_trans)`` complex
+    The ``(n_trans, M)`` strength block is gathered once into the rows' point
+    order ``order`` (the bin-sort permutation) as an ``(M, n_trans)`` complex
     array of the operator's precision, and its interleaved-real
     ``(M, 2 n_trans)`` view is spread with one real sparse mat-mat: real and
     imaginary parts share the real-valued kernel weights.  ``out``, when
@@ -211,8 +212,7 @@ def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
     block, batched = _as_strength_batch(strengths)
     matrix = cache.interp_matrix
     op_cplx = np.result_type(matrix.dtype, np.complex64)
-    cols = block.T if cache.row_order is None else block.T[cache.row_order]
-    cols = np.ascontiguousarray(cols, dtype=op_cplx)  # (M, n_trans)
+    cols = np.ascontiguousarray(block.T[order], dtype=op_cplx)  # (M, n_trans)
     # matrix.T is a CSC view (no copy); the product is (n_fine, 2 n_trans).
     flat = (matrix.T @ cols.view(matrix.dtype)).view(op_cplx)
     if out is not None:
@@ -231,23 +231,21 @@ def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
 # --------------------------------------------------------------------------- #
 # over-budget engine: per-subproblem padded-box GEMMs
 # --------------------------------------------------------------------------- #
-def _subproblem_boxes(cache, sort, subproblems):
+def _subproblem_boxes(cache, subproblems):
     """Yield ``(sel, lo, shape)`` per subproblem: its points and footprint box.
 
-    ``sel`` indexes the subproblem's points (bin-sorted order); the box
-    starts at the unwrapped fine-grid node ``lo = min(i0)`` per dimension and
-    spans ``shape = max(i0) - min(i0) + w`` nodes, so it holds every stencil
-    of the subproblem and always lies inside its padded bin.
+    ``sel`` slices the subproblem's points out of the bin-ordered cache; the
+    box starts at the unwrapped fine-grid node ``lo = min(i0)`` per dimension
+    and spans ``shape = max(i0) - min(i0) + w`` nodes, so it holds every
+    stencil of the subproblem and always lies inside its padded bin.
     """
-    perm = sort.permutation
     starts = subproblems.offsets
-    sorted_i0 = [i0[perm] for i0 in cache.i0]
-    lo = np.stack([np.minimum.reduceat(a, starts) for a in sorted_i0], axis=1)
-    hi = np.stack([np.maximum.reduceat(a, starts) for a in sorted_i0], axis=1)
+    lo = np.stack([np.minimum.reduceat(a, starts) for a in cache.i0], axis=1)
+    hi = np.stack([np.maximum.reduceat(a, starts) for a in cache.i0], axis=1)
     shape = hi - lo + cache.width
     for k in range(starts.shape[0]):
         start = int(starts[k])
-        yield perm[start:start + int(subproblems.counts[k])], lo[k], shape[k]
+        yield slice(start, start + int(subproblems.counts[k])), lo[k], shape[k]
 
 
 def _stencil_offsets(cache, sel, lo, d):
@@ -263,10 +261,10 @@ def _box_factors(cache, sel, lo, shape):
     the subproblem is the tensor product ``K_0 ⊗ K_1 ⊗ ...`` contracted
     with the strengths.
     """
-    rows = np.arange(sel.shape[0])[:, None]
+    rows = np.arange(sel.stop - sel.start)[:, None]
     factors = []
     for d in range(cache.ndim):
-        k = np.zeros((sel.shape[0], int(shape[d])))
+        k = np.zeros((rows.shape[0], int(shape[d])))
         k[rows, _stencil_offsets(cache, sel, lo, d)] = cache.vals[d][sel]
         factors.append(k)
     return factors
@@ -327,17 +325,17 @@ def _spread_box(cache, sel, lo, shape, c):
     return box.swapaxes(0, 1)
 
 
-def spread_subproblems(fine_shape, strengths, cache, sort, subproblems,
+def spread_subproblems(fine_shape, strengths, cache, order, subproblems,
                        dtype=np.complex64, out=None):
     """Spread via per-subproblem padded-box GEMMs (paper Fig. 1, on the host).
 
     The engine for stencil caches too large to fuse into a sparse operator:
-    it needs only the cached per-dimension ``i0`` / ``vals``.  For each SM
-    subproblem (bin-sorted points, at most ``Msub`` of them) the tight
-    footprint box is accumulated with one real GEMM,
-    ``K_0^T @ (c ⊗ K_1 ⊗ ... ⊗ K_{d-1})``, where the complex ``(P, n_trans,
-    L_1 ... L_{d-1})`` right factor is viewed as interleaved reals, and the
-    box is then added back to the fine grid with periodic wrap
+    it needs only the cached per-dimension ``i0`` / ``vals``, in the bin
+    order ``order``.  For each SM subproblem (a contiguous run of them, at
+    most ``Msub`` points) the tight footprint box is accumulated with one
+    real GEMM, ``K_0^T @ (c ⊗ K_1 ⊗ ... ⊗ K_{d-1})``, where the complex
+    ``(P, n_trans, L_1 ... L_{d-1})`` right factor is viewed as interleaved
+    reals, and the box is then added back to the fine grid with periodic wrap
     (:func:`_box_runs`).  Memory per step is one subproblem's box, bounded by
     ``Msub`` and the padded bin, whatever ``M * w^d`` is.  GM, GM-sort and SM
     compute the same sum, so every method runs this one engine.
@@ -349,8 +347,8 @@ def spread_subproblems(fine_shape, strengths, cache, sort, subproblems,
     n_trans = block.shape[0]
     grids = out if out is not None else np.empty((n_trans,) + tuple(fine_shape), dtype)
     grids[...] = 0
-    for sel, lo, shape in _subproblem_boxes(cache, sort, subproblems):
-        box = _spread_box(cache, sel, lo, shape, block[:, sel])
+    for sel, lo, shape in _subproblem_boxes(cache, subproblems):
+        box = _spread_box(cache, sel, lo, shape, block[:, order[sel]])
         for src, dst in _box_runs(lo, shape, fine_shape):
             grids[(slice(None),) + dst] += box[(slice(None),) + src]
     if out is not None:
@@ -450,7 +448,8 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
             idx_per_dim.append(local_idx)
             vals_per_dim.append(vals)
 
-        flat_idx, wprod = _tensor_stencil(idx_per_dim, vals_per_dim, local_shape)
+        flat_idx = _tensor_columns(idx_per_dim, local_shape)
+        wprod = _tensor_weights(vals_per_dim)
         cw = block[:, sel]
         local = np.zeros((n_trans, local_size), dtype=np.complex128)
         local_real, local_imag = _grid_views(local)

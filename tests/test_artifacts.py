@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.artifacts import ArtifactStore, default_store, reset_default_store
+from repro.core.binsort import bin_sort, to_grid_coordinates
 from repro.core.plan import Plan
 from repro.core.stencil import build_stencil_cache, stencil_cache_key
 from repro.gpu.device import Device
@@ -335,32 +336,31 @@ class TestProducerRoundtrips:
         x, y, _ = make_points_2d(rng, m=300)
         kernel = ESKernel.from_tolerance(1e-6)
         fine = (48, 48)
-        coords = (x, y)
+        coords = [to_grid_coordinates(c, n) for c, n in zip((x, y), fine)]
+        sort = bin_sort(coords, fine, (16, 16))
         digest = "deadbeef" * 4
 
-        # User order with a float64 operator, then a bin-ordered float32
-        # one: the row order and the operator dtype travel with the entry.
-        order = rng.permutation(300)
-        for row_order, dtype in ((None, np.float64), (order, np.float32)):
+        # The operator dtype travels with the entry; within budget and over
+        # it, every array comes back in the sort's bin order.
+        for budget, dtype in ((1 << 25, np.float64), (1 << 25, np.float32),
+                              (0, np.float64)):
             cold = ArtifactStore(root=tmp_path)
-            c1 = build_stencil_cache(coords, fine, kernel, store=cold,
-                                     points_digest=digest, row_order=row_order,
+            c1 = build_stencil_cache(coords, sort, kernel, store=cold,
+                                     points_digest=digest, fuse_budget=budget,
                                      dtype=dtype)
             assert cold.stats.by_kind["stencil"]["builds"] == 1
 
             warm = ArtifactStore(root=tmp_path)
-            c2 = build_stencil_cache(coords, fine, kernel, store=warm,
-                                     points_digest=digest, dtype=dtype)
+            c2 = build_stencil_cache(coords, sort, kernel, store=warm,
+                                     points_digest=digest, fuse_budget=budget,
+                                     dtype=dtype)
             assert warm.stats.by_kind["stencil"]["builds"] == 0
             assert warm.stats.by_kind["stencil"]["hits"] >= 1
             for d in range(2):
                 assert np.array_equal(c1.i0[d], c2.i0[d])
                 assert np.array_equal(c1.idx[d], c2.idx[d])
                 assert np.array_equal(c1.vals[d], c2.vals[d])
-            if row_order is None:
-                assert c2.row_order is None
-            else:
-                assert np.array_equal(c2.row_order, row_order)
+            assert c2.is_fused == (budget > 0)
             if c1.interp_matrix is not None:
                 assert c2.interp_matrix.dtype == dtype
                 assert np.array_equal(c1.interp_matrix.data, c2.interp_matrix.data)
@@ -369,17 +369,14 @@ class TestProducerRoundtrips:
 
     def test_stencil_key_covers_inputs(self):
         kernel = ESKernel.from_tolerance(1e-6)
-        base = stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20, True)
-        assert stencil_cache_key("e", (32, 32), kernel, "horner", 1 << 20,
-                                 True) != base
-        assert stencil_cache_key("d", (64, 32), kernel, "horner", 1 << 20,
-                                 True) != base
-        assert stencil_cache_key("d", (32, 32), kernel, "exact", 1 << 20,
-                                 True) != base
-        assert stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20,
-                                 False) != base
-        assert stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20,
-                                 True, np.float32) != base
+        args = ("d", (32, 32), (16, 16), kernel, "horner", 1 << 20)
+        base = stencil_cache_key(*args)
+        for i, other in ((0, "e"), (1, (64, 32)), (2, (8, 8)), (4, "exact"),
+                         (5, 1 << 21)):
+            changed = list(args)
+            changed[i] = other
+            assert stencil_cache_key(*changed) != base
+        assert stencil_cache_key(*args, np.float32) != base
 
     def test_psf_kernel_roundtrip(self, tmp_path, rng):
         x, y, _ = make_points_2d(rng, m=250)

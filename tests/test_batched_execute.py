@@ -1,5 +1,11 @@
 """Tests of the batched execution engine: plan-level stencil cache, fused
-``n_trans`` vectorization, and Horner kernel evaluation."""
+``n_trans`` vectorization, Horner kernel evaluation, and the point state
+shared by every plan on one point set."""
+
+import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +18,8 @@ from repro import (
     nufft2d2,
     relative_l2_error,
 )
+import repro.core.plan as plan_module
+from repro.core import points as points_module
 from repro.core.binsort import bin_sort, make_subproblems, to_grid_coordinates
 from repro.core.exact import mode_indices
 from repro.core.interp import interp_cached, interp_gm, interp_subproblems
@@ -88,40 +96,38 @@ class TestStencilCache:
         fine_shape = (48, 40)
         kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1200)
         c = rng.standard_normal(1200) + 1j * rng.standard_normal(1200)
-        cache = build_stencil_cache(grid_coords, fine_shape, kernel,
-                                    kernel_eval="exact")
+        cache = build_stencil_cache(grid_coords, sort, kernel, kernel_eval="exact")
         base = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
-        cached = spread_subproblems(fine_shape, c, cache, sort,
+        cached = spread_subproblems(fine_shape, c, cache, sort.permutation,
                                     make_subproblems(sort, 1024), np.complex128)
         np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
-        sparse = spread_cached(fine_shape, c, cache, np.complex128)
+        sparse = spread_cached(fine_shape, c, cache, sort.permutation, np.complex128)
         np.testing.assert_allclose(sparse, base, rtol=1e-10, atol=1e-10)
 
     def test_cached_interp_matches_uncached(self, rng):
         fine_shape = (40, 40)
         kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1000)
         grid = rng.standard_normal(fine_shape) + 1j * rng.standard_normal(fine_shape)
-        cache = build_stencil_cache(grid_coords, fine_shape, kernel,
-                                    kernel_eval="exact")
+        cache = build_stencil_cache(grid_coords, sort, kernel, kernel_eval="exact")
         base = interp_gm(grid, grid_coords, kernel, np.complex128)
-        cached = interp_subproblems(grid, cache, sort, make_subproblems(sort, 1024),
-                                    np.complex128)
+        cached = interp_subproblems(grid, cache, sort.permutation,
+                                    make_subproblems(sort, 1024), np.complex128)
         np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
-        sparse = interp_cached(grid, grid_coords, cache, np.complex128)
+        sparse = interp_cached(grid, cache, sort.permutation, np.complex128)
         np.testing.assert_allclose(sparse, base, rtol=1e-10, atol=1e-10)
 
     def test_budget_disables_fused_form(self, rng):
         fine_shape = (32, 32)
         kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 500)
-        fused = build_stencil_cache(grid_coords, fine_shape, kernel)
-        lean = build_stencil_cache(grid_coords, fine_shape, kernel, fuse_budget=0)
+        fused = build_stencil_cache(grid_coords, sort, kernel)
+        lean = build_stencil_cache(grid_coords, sort, kernel, fuse_budget=0)
         assert fused.is_fused and fused.interp_matrix is not None
         assert not lean.is_fused and lean.interp_matrix is None
         # The per-dimension arrays are still there for the over-budget engine.
         c = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        a = spread_cached(fine_shape, c, fused, np.complex128)
-        b = spread_subproblems(fine_shape, c, lean, sort, make_subproblems(sort, 1024),
-                               np.complex128)
+        a = spread_cached(fine_shape, c, fused, sort.permutation, np.complex128)
+        b = spread_subproblems(fine_shape, c, lean, sort.permutation,
+                               make_subproblems(sort, 1024), np.complex128)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_sm_spread_with_cache(self, rng):
@@ -129,10 +135,10 @@ class TestStencilCache:
         kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 2000)
         subs = make_subproblems(sort, 256)
         c = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
-        cache = build_stencil_cache(grid_coords, fine_shape, kernel,
-                                    kernel_eval="exact")
+        cache = build_stencil_cache(grid_coords, sort, kernel, kernel_eval="exact")
         base = spread_sm(fine_shape, grid_coords, c, kernel, sort, subs, np.complex128)
-        cached = spread_subproblems(fine_shape, c, cache, sort, subs, np.complex128)
+        cached = spread_subproblems(fine_shape, c, cache, sort.permutation, subs,
+                                    np.complex128)
         np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
 
 
@@ -140,6 +146,13 @@ class TestStencilCache:
 # bin-ordered operator (function level)
 # --------------------------------------------------------------------------- #
 FINE_SHAPES = [(96,), (40, 36), (24, 20, 16)]
+
+
+def _one_bin_sort(grid_coords, fine_shape):
+    """A bin sort with a single bin: its permutation is the user order."""
+    sort = bin_sort(grid_coords, fine_shape, fine_shape)
+    np.testing.assert_array_equal(sort.permutation, np.arange(grid_coords[0].shape[0]))
+    return sort
 
 
 def _reference_point_state(grid_coords, fine_shape, kernel, row_order):
@@ -182,12 +195,10 @@ class TestBinOrderedOperator:
     @pytest.mark.parametrize("fine_shape", FINE_SHAPES)
     def test_rows_are_a_permutation_of_user_order(self, rng, fine_shape):
         kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1500)
-        plain = build_stencil_cache(grid_coords, fine_shape, kernel)
-        ordered = build_stencil_cache(grid_coords, fine_shape, kernel,
-                                      row_order=sort.permutation)
-        assert plain.row_order is None
-        np.testing.assert_array_equal(ordered.row_order, sort.permutation)
-        back = ordered.interp_matrix[np.argsort(ordered.row_order)]
+        plain = build_stencil_cache(grid_coords, _one_bin_sort(grid_coords, fine_shape),
+                                    kernel)
+        ordered = build_stencil_cache(grid_coords, sort, kernel)
+        back = ordered.interp_matrix[np.argsort(sort.permutation)]
         ref = plain.interp_matrix
         assert back.dtype == ref.dtype == np.float64
         assert ordered.interp_matrix.indices.dtype == np.int32
@@ -210,15 +221,12 @@ class TestBinOrderedOperator:
         horner = kernel.evaluate_offsets_horner(frac)
         assert horner.shape == (1500, kernel.width) and horner.dtype == np.float64
         assert horner.flags.c_contiguous
-        cache = build_stencil_cache(grid_coords, fine_shape, kernel,
+        cache = build_stencil_cache(grid_coords, sort, kernel,
                                     fuse_budget=DEFAULT_FUSE_BUDGET if in_budget else 0,
-                                    row_order=sort.permutation, dtype=dtype)
-        row_order = sort.permutation if in_budget else None
-        state = _reference_point_state(grid_coords, fine_shape, kernel, row_order)
-        if in_budget:
-            np.testing.assert_array_equal(cache.row_order, sort.permutation)
-        else:
-            assert cache.row_order is None and cache.interp_matrix is None
+                                    dtype=dtype)
+        state = _reference_point_state(grid_coords, fine_shape, kernel,
+                                       sort.permutation)
+        assert cache.is_fused == in_budget
         for d, (i0, idx, vals) in enumerate(state):
             assert np.array_equal(cache.i0[d], i0)
             assert np.array_equal(cache.idx[d], idx)
@@ -233,15 +241,18 @@ class TestBinOrderedOperator:
             assert np.array_equal(op.indices, indices)
             assert np.array_equal(op.indptr, indptr)
 
-    def test_over_budget_cache_keeps_user_order(self, rng):
+    def test_over_budget_cache_is_bin_ordered(self, rng):
         fine_shape = (40, 36)
         kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 500)
-        lean = build_stencil_cache(grid_coords, fine_shape, kernel, fuse_budget=0,
-                                   row_order=sort.permutation)
-        plain = build_stencil_cache(grid_coords, fine_shape, kernel, fuse_budget=0)
-        assert lean.row_order is None and lean.interp_matrix is None
+        lean = build_stencil_cache(grid_coords, sort, kernel, fuse_budget=0)
+        fused = build_stencil_cache(grid_coords, sort, kernel)
+        plain = build_stencil_cache(grid_coords, _one_bin_sort(grid_coords, fine_shape),
+                                    kernel, fuse_budget=0)
+        assert lean.interp_matrix is None
         for d in range(2):
-            assert np.array_equal(lean.vals[d], plain.vals[d])
+            assert np.array_equal(lean.i0[d], fused.i0[d])
+            assert np.array_equal(lean.vals[d], fused.vals[d])
+            assert np.array_equal(lean.vals[d], plain.vals[d][sort.permutation])
 
     @pytest.mark.parametrize("fine_shape", FINE_SHAPES)
     @pytest.mark.parametrize("n_trans", [1, 3])
@@ -254,23 +265,22 @@ class TestBinOrderedOperator:
                            else (np.float64, np.complex128, 1e-12))
         # As a plan builds them: float64 to spread, the precision's dtype to
         # interpolate.
-        spread_cache = build_stencil_cache(grid_coords, fine_shape, kernel,
-                                           kernel_eval="exact",
-                                           row_order=sort.permutation)
-        interp_cache = build_stencil_cache(grid_coords, fine_shape, kernel,
-                                           kernel_eval="exact",
-                                           row_order=sort.permutation, dtype=real)
+        spread_cache = build_stencil_cache(grid_coords, sort, kernel,
+                                           kernel_eval="exact")
+        interp_cache = build_stencil_cache(grid_coords, sort, kernel,
+                                           kernel_eval="exact", dtype=real)
+        order = sort.permutation
         assert interp_cache.interp_matrix.dtype == real
         c = (rng.standard_normal((n_trans, m))
              + 1j * rng.standard_normal((n_trans, m))).astype(cplx)
         grid = (rng.standard_normal((n_trans,) + fine_shape)
                 + 1j * rng.standard_normal((n_trans,) + fine_shape)).astype(cplx)
 
-        spread = spread_cached(fine_shape, c, spread_cache, cplx)
+        spread = spread_cached(fine_shape, c, spread_cache, order, cplx)
         assert spread.dtype == cplx and spread.shape == (n_trans,) + fine_shape
         base = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
         assert relative_l2_error(spread, base) < tol
-        values = interp_cached(grid, grid_coords, interp_cache, cplx)
+        values = interp_cached(grid, interp_cache, order, cplx)
         assert values.dtype == cplx and values.shape == (n_trans, m)
         base = interp_gm(grid, grid_coords, kernel, np.complex128)
         assert relative_l2_error(values, base) < tol
@@ -278,10 +288,10 @@ class TestBinOrderedOperator:
         # Strided destinations receive exactly the allocated results.
         wide = fine_shape[:-1] + (2 * fine_shape[-1],)
         out = np.zeros((n_trans,) + wide, cplx)[..., ::2]
-        assert spread_cached(fine_shape, c, spread_cache, cplx, out=out) is out
+        assert spread_cached(fine_shape, c, spread_cache, order, cplx, out=out) is out
         assert np.array_equal(out, spread)
         out = np.zeros((2 * n_trans, m), cplx)[::2]
-        assert interp_cached(grid, grid_coords, interp_cache, cplx, out=out) is out
+        assert interp_cached(grid, interp_cache, order, cplx, out=out) is out
         assert np.array_equal(out, values)
 
     @pytest.mark.parametrize("precision", ["single", "double"])
@@ -302,9 +312,6 @@ class TestBinOrderedOperator:
             expected = np.float32 if single else np.float64
             assert p2._stencil.interp_matrix.dtype == expected
             assert p3._t3_inner._stencil.interp_matrix.dtype == expected
-            for plan in (p1, p2, p3):
-                np.testing.assert_array_equal(plan._stencil.row_order,
-                                              plan._sort.permutation)
             assert f"sparse-op {np.dtype(expected)}, bin-ordered" in p2.report()
 
 
@@ -327,6 +334,221 @@ class TestClusteredSinglePrecision:
         modes = [mode_indices(n)[k].astype(np.float64) for n, k in zip(n_modes, sel)]
         exact = nudft_type3(pts, c.astype(np.complex128), modes, isign=-1)
         assert relative_l2_error(out[sel], exact) <= 10 * eps
+
+
+# --------------------------------------------------------------------------- #
+# one point state per point set
+# --------------------------------------------------------------------------- #
+SHARE_MODES = {1: (48,), 2: (24, 20), 3: (12, 10, 8)}
+SHARE_EPS = {"single": 1e-5, "double": 1e-11}
+
+
+def _share_points(rng, n_modes, m, dist):
+    """``rand`` points over the whole box or ``cluster`` points in 8 fine cells."""
+    if dist == "rand":
+        return [rng.uniform(-np.pi, np.pi, m) for _ in n_modes]
+    return [rng.uniform(0.0, 8 * 2 * np.pi / (2 * n), m) for n in n_modes]
+
+
+def _share_data(rng, n_modes, m, precision):
+    dtype = np.complex64 if precision == "single" else np.complex128
+    c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)).astype(dtype)
+    f = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)).astype(dtype)
+    return c, f
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def _point_state_line(plan):
+    return next(line for line in plan.report().splitlines()
+                if line.strip().startswith("point state:"))
+
+
+def _alone(nufft_type, n_modes, coords, data, **kw):
+    """Output of a plan built with no sibling alive."""
+    gc.collect()
+    with Plan(nufft_type, n_modes, **kw) as plan:
+        plan.set_pts(*coords)
+        assert "built" in _point_state_line(plan)
+        out = plan.execute(data)
+    gc.collect()
+    return out
+
+
+class TestSharedPointState:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("dist", ["rand", "cluster"])
+    def test_type1_and_type2_share_one_state(self, dim, precision, dist):
+        rng = np.random.default_rng([dim, precision == "single", dist == "rand"])
+        n_modes, m = SHARE_MODES[dim], 400
+        coords = _share_points(rng, n_modes, m, dist)
+        c, f = _share_data(rng, n_modes, m, precision)
+        kw = dict(eps=SHARE_EPS[precision], precision=precision)
+        want1 = _alone(1, n_modes, coords, c, **kw)
+        want2 = _alone(2, n_modes, coords, f, **kw)
+
+        p1, p2 = Plan(1, n_modes, **kw), Plan(2, n_modes, **kw)
+        p1.set_pts(*[a.copy() for a in coords])
+        p2.set_pts(*[a.copy() for a in coords])
+        state = p1._points
+        assert p2._points is state
+        assert "built" in _point_state_line(p1)
+        assert "shared" in _point_state_line(p2)
+        assert state.digest[:12] in _point_state_line(p2)
+
+        op1, op2 = p1._stencil.interp_matrix, p2._stencil.interp_matrix
+        assert op1.dtype == np.float64
+        assert op2.dtype == (np.float32 if precision == "single" else np.float64)
+        for name in ("indices", "indptr"):
+            assert np.shares_memory(getattr(op1, name), getattr(op2, name))
+        for d in range(dim):
+            assert p1._stencil.vals[d] is p2._stencil.vals[d]
+        shared = (state.grid_coords + p1._stencil.arrays() + p2._stencil.arrays()
+                  + [state.sort.permutation, state.sort.bin_counts])
+        assert not any(a.flags.writeable for a in shared)
+
+        assert _same_bits(p1.execute(c), want1)
+        assert _same_bits(p2.execute(f), want2)
+        # Re-pointing, then destroying, one plan leaves the other untouched.
+        p1.set_pts(*_share_points(rng, n_modes, m, dist))
+        assert p1._points is not state and p2._points is state
+        assert _same_bits(p2.execute(f), want2)
+        p1.destroy()
+        gc.collect()
+        assert _same_bits(p2.execute(f), want2)
+
+        alive, key = weakref.ref(state), state.key
+        del state, op1, op2, shared
+        p2.destroy()
+        gc.collect()
+        assert alive() is None
+        assert key not in points_module._REGISTRY
+
+    def test_type3_releases_both_states(self, rng):
+        # A type-3 plan's inner type-2 plan holds the target points' state;
+        # destroying the type-3 plan releases both states.
+        x, y, c = make_points_2d(rng, m=300)
+        with Plan(3, 2, eps=1e-6) as p3:
+            p3.set_pts(x, y, s=3 * x, t=3 * y)
+            inner = weakref.ref(p3._t3_inner._points)
+            outer = weakref.ref(p3._points)
+            assert outer() is not inner()
+        gc.collect()
+        assert inner() is None and outer() is None
+
+    def test_parameters_that_shape_the_state_split_it(self, rng):
+        x, y, _ = make_points_2d(rng, m=500)
+        base = dict(eps=1e-6, precision="double")
+        with Plan(1, (24, 20), **base) as ref, Plan(2, (24, 20), **base) as same:
+            ref.set_pts(x, y)
+            same.set_pts(x, y)
+            assert same._points is ref._points
+            for change in (dict(bin_shape=(8, 8)), dict(eps=1e-9),
+                           dict(stencil_budget=0), dict(kernel_eval="exact")):
+                with Plan(1, (24, 20), **dict(base, **change)) as other:
+                    other.set_pts(x, y)
+                    assert other._points is not ref._points, change
+            with Plan(1, (24, 20), **base) as moved:
+                moved.set_pts(x + 1e-3, y)
+                assert moved._points is not ref._points
+
+    def test_equal_digests_need_equal_coordinates(self, rng, monkeypatch):
+        # Force every digest to collide: the coordinate check alone must keep
+        # different points apart.
+        class Collide:
+            def __init__(self, **kwargs):
+                pass
+
+            def update(self, data):
+                pass
+
+            def hexdigest(self):
+                return "0" * 32
+
+        monkeypatch.setattr(points_module.hashlib, "blake2b", Collide)
+        x, y, c = make_points_2d(rng, m=500)
+        x2, y2, _ = make_points_2d(rng, m=500)
+        want = nudft_type1([x2, y2], c, (20, 20))
+        with Plan(1, (20, 20), eps=1e-9, precision="double") as first, \
+                Plan(1, (20, 20), eps=1e-9, precision="double") as second:
+            first.set_pts(x, y)
+            second.set_pts(x2, y2)
+            assert second._points is not first._points
+            assert second._points.key == first._points.key
+            assert relative_l2_error(second.execute(c), want) < 1e-7
+
+    def test_concurrent_set_pts_on_equal_points(self, rng, monkeypatch):
+        # More threads than cores, with a short switch interval, race set_pts
+        # on equal points: one sort and one index build must serve them all.
+        calls = []
+        for name in ("bin_sort", "build_stencil_cache"):
+            real = getattr(plan_module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(plan_module, name, spy)
+        x, y, c = make_points_2d(rng, m=3000)
+        c = c.astype(np.complex64)
+        f = (rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))).astype(
+            np.complex64)
+        want = {1: _alone(1, (32, 32), (x, y), c), 2: _alone(2, (32, 32), (x, y), f)}
+        calls.clear()
+        plans = [Plan(1 + k % 2, (32, 32)) for k in range(8)]
+        barrier = threading.Barrier(len(plans))
+        errors = []
+
+        def run(plan):
+            try:
+                barrier.wait(timeout=30)
+                plan.set_pts(x.copy(), y.copy())
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(p,)) for p in plans]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert sorted(calls) == ["bin_sort", "build_stencil_cache"]
+        assert all(p._points is plans[0]._points for p in plans)
+        for p in plans:
+            data = c if p.nufft_type == 1 else f
+            assert _same_bits(p.execute(data), want[p.nufft_type])
+            p.destroy()
+
+    def test_only_the_first_set_pts_sorts_and_builds(self, rng, monkeypatch):
+        calls = []
+        for name in ("bin_sort", "build_stencil_cache"):
+            real = getattr(plan_module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(plan_module, name, spy)
+        x, y, c = make_points_2d(rng, m=800)
+        c = c.astype(np.complex64)
+        f = np.ones((20, 20), np.complex64)
+        with Plan(2, (20, 20)) as p2, Plan(1, (20, 20)) as p1:
+            p2.set_pts(x, y)
+            assert calls == ["bin_sort", "build_stencil_cache"]
+            p1.set_pts(x, y)
+            assert len(calls) == 2
+            for _ in range(3):
+                p2.execute(f)
+                p1.execute(c)
+            assert len(calls) == 2
 
 
 # --------------------------------------------------------------------------- #

@@ -172,6 +172,31 @@ class TestBinSort:
         assert sort.n_occupied_cells <= 64
         assert sort.n_nonempty_bins == 1
 
+    @pytest.mark.parametrize("case", ["rand", "cluster", "empty_bins", "many_bins"])
+    def test_permutation_equals_int64_stable_argsort(self, rng, case):
+        # The sort keys a narrow unsigned copy of the bin index (a radix sort
+        # up to 65536 bins); the stable order must not depend on the key dtype.
+        fine, bins, m = (128, 96), (16, 16), 5000
+        if case == "many_bins":
+            fine, bins = (1024, 512), (2, 2)    # 131072 bins > 2**16
+        if case == "cluster":
+            h = 2 * np.pi / fine[0]
+            coords = [rng.uniform(0, 8 * h, m) for _ in fine]
+        elif case == "empty_bins":
+            coords = [rng.uniform(-np.pi, -np.pi / 2, m) for _ in fine]
+        else:
+            coords = [rng.uniform(-np.pi, np.pi, m) for _ in fine]
+        grid_coords = [to_grid_coordinates(c, n) for c, n in zip(coords, fine)]
+        sort = bin_sort(grid_coords, fine, bins)
+        if case == "many_bins":
+            assert sort.n_bins > 1 << 16
+        if case in ("cluster", "empty_bins"):
+            assert sort.n_nonempty_bins < sort.n_bins
+        assert sort.bin_index.dtype == np.int64
+        assert sort.permutation.dtype == np.int64
+        want = np.argsort(sort.bin_index.astype(np.int64), kind="stable")
+        np.testing.assert_array_equal(sort.permutation, want)
+
     def test_3d_bin_sort(self, rng):
         fine = (32, 32, 16)
         coords = [rng.uniform(-np.pi, np.pi, 2000) for _ in range(3)]

@@ -9,12 +9,14 @@ plan over budget), check that the two halves are adjoint, and that its memory
 does not grow with the stencil footprint.
 """
 
+import gc
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.core.plan as plan_module
 from repro import Plan
 from repro.core.interp import interp_subproblems
 from repro.core.spread import _subproblem_boxes, spread_subproblems
@@ -104,7 +106,7 @@ def test_box_wider_than_fine_grid(nufft_type):
             Plan(nufft_type, n_modes, **kw) as fused:
         lean.set_pts(*coords)
         fused.set_pts(*coords)
-        boxes = _subproblem_boxes(lean._stencil, lean._sort, lean._ensure_subproblems())
+        boxes = _subproblem_boxes(lean._stencil, lean._subproblems)
         assert any(np.any(shape > np.asarray(lean.fine_shape)) for _, _, shape in boxes)
         assert _rel(lean.execute(data), fused.execute(data)) <= TOL["double"]
 
@@ -119,7 +121,7 @@ def test_spread_interp_adjoint(dim, n_trans):
     with Plan(1, n_modes, n_trans=n_trans, eps=1e-12, precision="double",
               stencil_budget=0) as plan:
         plan.set_pts(*_points(rng, n_modes, m, "cluster" if dim == 2 else "rand"))
-        args = (plan._stencil, plan._sort, plan._ensure_subproblems())
+        args = (plan._stencil, plan._points.sort.permutation, plan._subproblems)
         c = _data(rng, (n_trans, m), "double")
         g = _data(rng, (n_trans,) + plan.fine_shape, "double")
         lhs = np.vdot(g, spread_subproblems(plan.fine_shape, c, *args, np.complex128))
@@ -175,13 +177,12 @@ def test_boxes_cover_every_point_once():
         plan.set_pts(*_points(rng, (20, 24), 700, "rand"))
         cache = plan._stencil
         seen = []
-        for sel, lo, shape in _subproblem_boxes(cache, plan._sort,
-                                                plan._ensure_subproblems()):
-            assert len(sel) <= 64
+        for sel, lo, shape in _subproblem_boxes(cache, plan._subproblems):
+            assert sel.stop - sel.start <= 64
             for d in range(2):
                 assert cache.i0[d][sel].min() == lo[d]
                 assert cache.i0[d][sel].max() + cache.width == lo[d] + shape[d]
-            seen.append(sel)
+            seen.append(plan._points.sort.permutation[sel])
         assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(700))
 
 
@@ -198,3 +199,47 @@ def test_all_methods_share_one_engine():
             outs.append(plan.execute(c))
     for a, b in itertools.combinations(outs, 2):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("dist", ["rand", "cluster"])
+def test_overbudget_plans_share_one_point_state(dim, precision, dist, monkeypatch):
+    # Over budget there is no operator, so the type-1 and type-2 plans hold
+    # the very same bin-ordered stencil; only the first set_pts builds it,
+    # execute builds nothing, and the outputs match plans built alone.
+    rng = np.random.default_rng([dim, precision == "single", dist == "rand"])
+    n_modes, m = DIM_MODES[dim], 400
+    coords = _points(rng, n_modes, m, dist)
+    c = _data(rng, m, precision)
+    f = _data(rng, n_modes, precision)
+    kw = dict(eps=EPS[precision], precision=precision, stencil_budget=0)
+    want = []
+    for nufft_type, data in ((1, c), (2, f)):
+        gc.collect()
+        with Plan(nufft_type, n_modes, **kw) as alone:
+            alone.set_pts(*coords)
+            want.append(alone.execute(data))
+    gc.collect()
+
+    calls = []
+    for name in ("bin_sort", "build_stencil_cache"):
+        real = getattr(plan_module, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, name, spy)
+    with Plan(1, n_modes, **kw) as p1, Plan(2, n_modes, **kw) as p2:
+        p1.set_pts(*[a.copy() for a in coords])
+        p2.set_pts(*[a.copy() for a in coords])
+        assert calls == ["bin_sort", "build_stencil_cache"]
+        assert p1._points is p2._points
+        assert p1._stencil is p2._stencil and not p1._stencil.is_fused
+        assert not any(a.flags.writeable for a in p1._stencil.arrays())
+        for _ in range(2):
+            got = (p1.execute(c), p2.execute(f))
+        assert len(calls) == 2
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
